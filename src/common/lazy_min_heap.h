@@ -69,9 +69,23 @@ class LazyMinHeap {
     std::make_heap(heap_.begin(), heap_.end(), std::greater<Key>());
   }
 
-  /// All keys (stale included), for ordered traversals and audits: the
-  /// caller copies/sorts/heapifies as needed.
+  /// All keys (stale included), for ordered traversals: the caller
+  /// copies/sorts/heapifies as needed.
   const std::vector<Key>& keys() const { return heap_; }
+
+  /// Audit for owners whose entries each have one present key: true iff
+  /// exactly `live` keys are current and no two are equal, i.e. every live
+  /// entry's present key is in the heap exactly once.
+  template <typename IsCurrent>
+  bool CurrentKeysMatch(size_t live, IsCurrent&& is_current) const {
+    std::vector<Key> current;
+    for (const Key& k : heap_) {
+      if (is_current(k)) current.push_back(k);
+    }
+    std::sort(current.begin(), current.end());
+    return current.size() == live &&
+           std::adjacent_find(current.begin(), current.end()) == current.end();
+  }
 
   void Clear() { heap_.clear(); }
   bool empty() const { return heap_.empty(); }

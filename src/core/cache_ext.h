@@ -54,6 +54,8 @@ struct ScrubResult {
   std::vector<FlashOnlyPage> lost_dirty;
 };
 
+struct DeltaRingStats;  // core/delta_ring.h
+
 /// Counters every policy maintains; benches derive the paper's hit-rate,
 /// write-reduction, and traffic numbers from these.
 struct CacheStats {
@@ -74,6 +76,9 @@ struct CacheStats {
   uint64_t delta_record_bytes = 0; ///< encoded bytes across those records
   uint64_t delta_block_writes = 0; ///< shared delta-ring block writes
   uint64_t delta_consolidations = 0; ///< forced full writes on slot reuse
+
+  /// Copy the owner's delta-ring counters into the delta_* fields.
+  void MirrorDelta(const DeltaRingStats& ring);
 
   /// Flash hit ratio over all DRAM misses (Table 3a).
   double HitRate() const {
@@ -241,10 +246,11 @@ class CacheExtension {
   /// Re-attach a healthy (erased) flash device after degradation: reformat
   /// policy state cold and resume normal admission. The caller owns device
   /// health (injector disarm + SimDevice::ResetHealth) and the control
-  /// block marker.
+  /// block marker. Default: the cold restart of a volatile directory;
+  /// policies with an on-flash directory override it to re-format that.
   virtual Status ReattachFlash() {
     degraded_ = false;
-    return Status::OK();
+    return RecoverAfterCrash();
   }
 
   /// Background scrub: verify up to `max_frames` occupied flash frames

@@ -202,6 +202,11 @@ void DeltaRing::Drop(PageId pid) {
   chains_.Erase(pid);
 }
 
+void DeltaRing::DropAll() {
+  chains_.ForEach([this](PageId, ChainInfo& c) { FreeChainNodes(&c); });
+  chains_.Clear();
+}
+
 Status DeltaRing::Flush() {
   if (!unflushed_) return Status::OK();
   return WriteOpenBlock();

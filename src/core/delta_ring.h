@@ -133,11 +133,12 @@ class DeltaRing {
   /// The page left the owner's directory (destaged, invalidated): forget
   /// its chain. Records already on media become unmatchable garbage.
   void Drop(PageId pid);
+  /// Drop every chain with no flash I/O (the owner's directory was lost).
+  void DropAll();
 
   /// Make every appended record durable (re-writes the open block in place).
   /// Called on the checkpoint path: absorbed deltas must survive a crash.
   Status Flush();
-  bool has_unflushed() const { return unflushed_; }
 
   /// One record that survived a crash, in ring order.
   struct RecoveredRecord {

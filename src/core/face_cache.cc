@@ -130,7 +130,7 @@ const char* FaceCache::name() const {
   return "FaCE";
 }
 
-Status FaceCache::Format() {
+void FaceCache::ResetState() {
   front_seq_ = rear_seq_ = staged_base_ = 0;
   staged_count_ = 0;
   scrub_seq_ = 0;
@@ -139,8 +139,13 @@ Status FaceCache::Format() {
   dirty_since_.Clear();
   seg_buf_.clear();
   sb_front_seq_ = sb_rear_seq_ = 0;
+  delta_.DropAll();
+}
+
+Status FaceCache::Format() {
+  ResetState();
   FACE_RETURN_IF_ERROR(delta_.Reset());
-  SyncDeltaStats();
+  stats_.MirrorDelta(delta_.stats());
   return WriteSuperblock();
 }
 
@@ -521,14 +526,6 @@ Status FaceCache::ConsolidateDeltaPages(const std::vector<PageId>& pids) {
   return FlushStaging();
 }
 
-void FaceCache::SyncDeltaStats() {
-  const DeltaRingStats& d = delta_.stats();
-  stats_.delta_records = d.records;
-  stats_.delta_record_bytes = d.record_bytes;
-  stats_.delta_block_writes = d.block_writes;
-  stats_.delta_consolidations = d.consolidations;
-}
-
 Status FaceCache::OnDramEvict(PageId page_id, char* page, bool dirty,
                               bool fdirty, Lsn rec_lsn, DeltaWriteHint* hint) {
   if (dirty) ++stats_.dirty_evictions;
@@ -569,7 +566,7 @@ Status FaceCache::OnDramEvict(PageId page_id, char* page, bool dirty,
   auto refreshed = TryDeltaRefresh(page_id, page, enqueue_dirty, hint);
   if (!refreshed.ok()) return refreshed.status();
   if (*refreshed) {
-    SyncDeltaStats();
+    stats_.MirrorDelta(delta_.stats());
     return Status::OK();
   }
 
@@ -582,7 +579,7 @@ Status FaceCache::OnDramEvict(PageId page_id, char* page, bool dirty,
   if (options_.second_chance && was_full) {
     FACE_RETURN_IF_ERROR(FillBatchFromDram());
   }
-  SyncDeltaStats();
+  stats_.MirrorDelta(delta_.stats());
   return Status::OK();
 }
 
@@ -596,7 +593,7 @@ StatusOr<bool> FaceCache::CheckpointPage(PageId page_id, char* page,
   auto refreshed = TryDeltaRefresh(page_id, page, /*dirty=*/true, hint);
   if (!refreshed.ok()) return refreshed.status();
   if (*refreshed) {
-    SyncDeltaStats();
+    stats_.MirrorDelta(delta_.stats());
     return true;
   }
   const bool was_full = live_entries() >= options_.n_frames;
@@ -605,7 +602,7 @@ StatusOr<bool> FaceCache::CheckpointPage(PageId page_id, char* page,
   FACE_RETURN_IF_ERROR(Enqueue(page_id, page, /*dirty=*/true,
                                ConstPageView(page).lsn(), &version));
   if (hint != nullptr) hint->new_version = version;
-  SyncDeltaStats();
+  stats_.MirrorDelta(delta_.stats());
   return true;
 }
 
@@ -616,7 +613,7 @@ Status FaceCache::OnCheckpoint() {
   // records absorbed by the checkpoint get the same guarantee from Flush.
   FACE_RETURN_IF_ERROR(FlushStaging());
   FACE_RETURN_IF_ERROR(delta_.Flush());
-  SyncDeltaStats();
+  stats_.MirrorDelta(delta_.stats());
   return Status::OK();
 }
 
@@ -784,7 +781,7 @@ Status FaceCache::RecoverAfterCrash() {
     e.dirty = e.dirty || r.rec.dirty != 0;
     ++recovery_info_.delta_records_attached;
   }
-  SyncDeltaStats();
+  stats_.MirrorDelta(delta_.stats());
 
   // 6. Rebuild the durability-exposure ledger. The per-page floors died
   //    with the process; the entry LSN is the best floor derivable from
@@ -821,19 +818,7 @@ Status FaceCache::EnterDegraded() {
   // The flash device is gone: drop every structure without touching it.
   // Callers needing the exposure set must CollectFlashOnlyDirty first.
   degraded_ = true;
-  front_seq_ = rear_seq_ = staged_base_ = 0;
-  staged_count_ = 0;
-  scrub_seq_ = 0;
-  entries_.clear();
-  newest_.Clear();
-  dirty_since_.Clear();
-  seg_buf_.clear();
-  sb_front_seq_ = sb_rear_seq_ = 0;
-  // Forget all delta chains in memory (BeginFull-less: drop each chain).
-  std::vector<PageId> chained;
-  delta_.ForEachChain(
-      [&](PageId pid, const DeltaRing::ChainView&) { chained.push_back(pid); });
-  for (PageId pid : chained) delta_.Drop(pid);
+  ResetState();
   return Status::OK();
 }
 

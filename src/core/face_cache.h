@@ -163,8 +163,6 @@ class FaceCache final : public CacheExtension {
   /// every page whose chain still has records in the slot being reclaimed,
   /// then make the fresh full frames durable.
   Status ConsolidateDeltaPages(const std::vector<PageId>& pids);
-  /// Mirror DeltaRing counters into the shared CacheStats block.
-  void SyncDeltaStats();
   /// Free at least one slot per the configured replacement flavor.
   Status MakeRoom();
   /// Base mvFIFO: stage out one page with individual I/Os.
@@ -199,6 +197,9 @@ class FaceCache final : public CacheExtension {
   /// the superblock — the paper's "flash cache checkpointing".
   Status FlushSegment(uint64_t seg_no);
   Status WriteSuperblock();
+  /// Forget every frame, metadata and delta chain in memory (no flash I/O):
+  /// the shared first half of Format and EnterDegraded.
+  void ResetState();
 
   /// Copy `page` into `dst` and stamp page id, the enqueue sequence (into
   /// the flags field, for restart-time lap detection) and a checksum —

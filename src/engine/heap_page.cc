@@ -28,14 +28,6 @@ bool HeapPageView::SlotLive(uint16_t slot) const {
   return slot < slot_count() && SlotOffset(slot) != 0;
 }
 
-uint16_t HeapPageView::LiveCount() const {
-  uint16_t n = 0;
-  for (uint16_t s = 0; s < slot_count(); ++s) {
-    if (SlotLive(s)) ++n;
-  }
-  return n;
-}
-
 Status HeapPageEditor::Format() {
   char header[HeapPageLayout::kHeaderSize] = {};
   EncodeFixed16(header + HeapPageLayout::kSlotCountOffset, 0);

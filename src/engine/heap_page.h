@@ -72,9 +72,6 @@ class HeapPageView {
   /// True if `slot` holds a live record.
   bool SlotLive(uint16_t slot) const;
 
-  /// Number of live (non-tombstone) slots.
-  uint16_t LiveCount() const;
-
   const char* payload() const { return payload_; }
 
  private:

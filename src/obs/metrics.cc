@@ -178,11 +178,6 @@ std::string MetricsRegistry::MergedToText() {
   return merged.ToText();
 }
 
-void MetricsRegistry::ClearAllThreads() {
-  std::lock_guard<std::mutex> lock(RegistryListMutex());
-  for (MetricsRegistry* r : RegistryList()) r->Clear();
-}
-
 void SetVirtualClock(const IoScheduler* sched) { t_clock = sched; }
 
 const IoScheduler* virtual_clock() { return t_clock; }

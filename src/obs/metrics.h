@@ -75,10 +75,10 @@ inline void SetEnabled(bool on) {
 /// thread exiting).
 ///
 /// Threading contract: Get*/Add/Clear touch only the calling thread's
-/// registry. MergedToJson/MergedToText/ClearAllThreads walk other threads'
-/// registries WITHOUT per-value locks — call them only while the threads
-/// that write those registries are quiescent (the sharded testbed's
-/// round barriers and result merge guarantee this).
+/// registry. MergedToJson/MergedToText walk other threads' registries
+/// WITHOUT per-value locks — call them only while the threads that write
+/// those registries are quiescent (the sharded testbed's round barriers and
+/// result merge guarantee this).
 class MetricsRegistry {
  public:
   /// The calling thread's registry (created and registered on first use).
@@ -107,9 +107,6 @@ class MetricsRegistry {
   /// single thread this is byte-identical to the instance ToJson/ToText.
   static std::string MergedToJson();
   static std::string MergedToText();
-
-  /// Clear() applied to every thread's registry.
-  static void ClearAllThreads();
 
  private:
   MetricsRegistry() = default;
@@ -170,7 +167,6 @@ class MetricsRegistry {
   std::string ToText() const { return std::string(); }
   static std::string MergedToJson() { return "{}"; }
   static std::string MergedToText() { return std::string(); }
-  static void ClearAllThreads() {}
 
  private:
   Counter counter_;

@@ -6,7 +6,7 @@
 // declared lost, those versions are gone, but every *committed* update to
 // them is still in the WAL at or above the page's durability-exposure floor
 // (the recLSN the page had when it was first admitted dirty to flash — see
-// FaceCache::dirty_since_ / LcCache's per-entry rec_lsn).
+// FaceCache::dirty_since_ / LcCache's per-slot rec_lsn).
 //
 // This component reruns ARIES redo on the LIVE engine, scoped to exactly
 // that lost set: one sequential WAL scan from the minimum floor, applying

@@ -280,12 +280,6 @@ Status SimDevice::WriteBatch(uint64_t block, uint32_t n, const char* in) {
   return DoIo(IoOp::kWrite, block, n, nullptr, in);
 }
 
-double SimDevice::Utilization(SimNanos makespan) const {
-  if (makespan == 0) return 0.0;
-  return static_cast<double>(stats_.busy_ns) /
-         (static_cast<double>(makespan) * profile_.stations);
-}
-
 void SimDevice::TrimBefore(uint64_t block, uint64_t keep_below) {
   const uint64_t first_chunk = (keep_below + kChunkPages - 1) / kChunkPages;
   const uint64_t end_chunk = block / kChunkPages;

@@ -65,10 +65,6 @@ class SimDevice {
   const DeviceStats& stats() const { return stats_; }
   void ResetStats() { stats_ = DeviceStats(); }
 
-  /// Fraction of virtual time this device was busy, given the run's
-  /// makespan. Multi-station devices average across stations.
-  double Utilization(SimNanos makespan) const;
-
   /// Wipe contents to zero. Media state resets with the contents: the
   /// sequentiality history restarts (the next request on every station
   /// classifies random). Stats deliberately survive — Erase models

@@ -3,15 +3,6 @@
 namespace face {
 namespace workload {
 
-const char* DistributionName(YcsbOptions::Distribution d) {
-  switch (d) {
-    case YcsbOptions::Distribution::kUniform: return "uniform";
-    case YcsbOptions::Distribution::kZipfian: return "zipfian";
-    case YcsbOptions::Distribution::kLatest: return "latest";
-  }
-  return "?";
-}
-
 namespace {
 
 // FNV-1a style scramble: spreads the Zipfian head across the key space so

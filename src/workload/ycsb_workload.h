@@ -135,8 +135,5 @@ class YcsbFactory : public WorkloadFactory {
   YcsbOptions opts_;
 };
 
-/// Printable distribution name ("uniform", "zipfian", "latest").
-const char* DistributionName(YcsbOptions::Distribution d);
-
 }  // namespace workload
 }  // namespace face

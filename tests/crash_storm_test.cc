@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "core/flash_layout.h"
+#include "core/tac_cache.h"
 #include "testbed/crash_storm.h"
 #include "testbed/sharded_testbed.h"
 #include "tests/test_util.h"
@@ -75,6 +76,7 @@ void RunStorms(CachePolicy policy) {
 TEST(CrashStormTest, Face) { RunStorms(CachePolicy::kFace); }
 TEST(CrashStormTest, Lc) { RunStorms(CachePolicy::kLc); }
 TEST(CrashStormTest, Tac) { RunStorms(CachePolicy::kTac); }
+TEST(CrashStormTest, Exadata) { RunStorms(CachePolicy::kExadata); }
 TEST(CrashStormTest, NoCache) { RunStorms(CachePolicy::kNone); }
 
 TEST(CrashStormTest, CrashDuringRecovery) {
@@ -406,41 +408,54 @@ TEST(DegradedModeTest, ScrubRepairsBitRotThenSurvivesACrash) {
   // every rotten frame (clean frames re-read from disk, dirty frames
   // rebuilt from the WAL) before any of it is served, and a crash after
   // the repairs must still recover the exact committed history.
-  DegradedRig rig;
-  rig.Build(CachePolicy::kFace, 55);
-  if (::testing::Test::HasFatalFailure()) return;
-  Testbed& tb = rig.tb();
-  RunOptions warm;
-  warm.txns = 500;
-  FACE_ASSERT_OK(tb.Run(warm).status());
+  const CachePolicy policies[] = {CachePolicy::kFace, CachePolicy::kLc,
+                                  CachePolicy::kTac, CachePolicy::kExadata};
+  for (CachePolicy policy : policies) {
+    SCOPED_TRACE(CachePolicyName(policy));
+    DegradedRig rig;
+    rig.Build(policy, 55);
+    if (::testing::Test::HasFatalFailure()) return;
+    Testbed& tb = rig.tb();
+    RunOptions warm;
+    warm.txns = 500;
+    FACE_ASSERT_OK(tb.Run(warm).status());
 
-  // Rot every third frame block (same geometry the testbed provisioned).
-  const FlashLayout lay = FlashLayout::Compute(512, 256);
-  for (uint64_t i = 0; i < lay.n_frames; i += 3) {
-    FACE_ASSERT_OK(FaultInjector::FlipBitsInBlock(
-        tb.flash_dev(), lay.FrameBlock(i), /*n_bits=*/3, /*seed=*/1000 + i));
+    // Rot every third frame block (same geometry the testbed provisioned):
+    // FaCE frames sit past its metadata regions, TAC's past its slot
+    // directory, LC's and Exadata's start at block 0.
+    constexpr uint64_t kFrames = 512;
+    const FlashLayout lay = FlashLayout::Compute(kFrames, 256);
+    for (uint64_t i = 0; i < kFrames; i += 3) {
+      uint64_t block = i;
+      if (policy == CachePolicy::kFace) block = lay.FrameBlock(i);
+      if (policy == CachePolicy::kTac) {
+        block = TacCache::DirBlocksFor(kFrames) + i;
+      }
+      FACE_ASSERT_OK(FaultInjector::FlipBitsInBlock(
+          tb.flash_dev(), block, /*n_bits=*/3, /*seed=*/1000 + i));
+    }
+
+    ScrubResult scrub;
+    FACE_ASSERT_OK_AND_ASSIGN(scrub, tb.ScrubPass(kFrames));
+    EXPECT_GT(scrub.frames_scanned, 0u);
+    EXPECT_GT(scrub.clean_repaired + scrub.lost_dirty.size(), 0u)
+        << "no rot found: the flips missed every occupied frame";
+    EXPECT_FALSE(tb.IsDegraded());
+
+    // The repaired cache serves clean traffic...
+    RunOptions body;
+    body.txns = 200;
+    FACE_ASSERT_OK(tb.Run(body).status());
+    rig.CheckDiff("scrub repair");
+
+    // ...and a crash after the repairs recovers row-for-row.
+    FACE_ASSERT_OK(tb.InjectInflightTransactions(2));
+    FACE_ASSERT_OK(tb.Crash());
+    RestartReport report;
+    FACE_ASSERT_OK_AND_ASSIGN(report, tb.Recover());
+    EXPECT_FALSE(report.degraded);
+    rig.CheckDiff("scrub-repair-then-crash");
   }
-
-  ScrubResult scrub;
-  FACE_ASSERT_OK_AND_ASSIGN(scrub, tb.ScrubPass(lay.n_frames));
-  EXPECT_GT(scrub.frames_scanned, 0u);
-  EXPECT_GT(scrub.clean_repaired + scrub.lost_dirty.size(), 0u)
-      << "no rot found: the flips missed every occupied frame";
-  EXPECT_FALSE(tb.IsDegraded());
-
-  // The repaired cache serves clean traffic...
-  RunOptions body;
-  body.txns = 200;
-  FACE_ASSERT_OK(tb.Run(body).status());
-  rig.CheckDiff("scrub repair");
-
-  // ...and a crash after the repairs recovers row-for-row.
-  FACE_ASSERT_OK(tb.InjectInflightTransactions(2));
-  FACE_ASSERT_OK(tb.Crash());
-  RestartReport report;
-  FACE_ASSERT_OK_AND_ASSIGN(report, tb.Recover());
-  EXPECT_FALSE(report.degraded);
-  rig.CheckDiff("scrub-repair-then-crash");
 }
 
 TEST(DegradedModeTest, BackgroundScrubberWalksIdleFramesInVirtualTime) {
@@ -465,42 +480,47 @@ TEST(DegradedModeTest, BackgroundScrubberWalksIdleFramesInVirtualTime) {
 }
 
 TEST(DegradedModeTest, ReattachedFlashRewarmsThroughNormalAdmission) {
-  DegradedRig rig;
-  rig.Build(CachePolicy::kFace, 33);
-  if (::testing::Test::HasFatalFailure()) return;
-  Testbed& tb = rig.tb();
-  RunOptions warm;
-  warm.txns = 300;
-  FACE_ASSERT_OK(tb.Run(warm).status());
+  const CachePolicy policies[] = {CachePolicy::kFace, CachePolicy::kLc,
+                                  CachePolicy::kTac, CachePolicy::kExadata};
+  for (CachePolicy policy : policies) {
+    SCOPED_TRACE(CachePolicyName(policy));
+    DegradedRig rig;
+    rig.Build(policy, 33);
+    if (::testing::Test::HasFatalFailure()) return;
+    Testbed& tb = rig.tb();
+    RunOptions warm;
+    warm.txns = 300;
+    FACE_ASSERT_OK(tb.Run(warm).status());
 
-  FaultInjector inj;
-  tb.flash_dev()->set_fault_injector(&inj);
-  inj.KillDevice("flash");
-  RunOptions body;
-  body.txns = 200;
-  FACE_ASSERT_OK(tb.Run(body).status());
-  ASSERT_TRUE(tb.IsDegraded());
+    FaultInjector inj;
+    tb.flash_dev()->set_fault_injector(&inj);
+    inj.KillDevice("flash");
+    RunOptions body;
+    body.txns = 200;
+    FACE_ASSERT_OK(tb.Run(body).status());
+    ASSERT_TRUE(tb.IsDegraded());
 
-  // Replace the media: disarm first (the caller's contract), then re-attach.
-  inj.DisarmDevice("flash");
-  FACE_ASSERT_OK(tb.ReattachFlash());
-  EXPECT_FALSE(tb.IsDegraded());
+    // Replace the media: disarm first (the caller's contract), then re-attach.
+    inj.DisarmDevice("flash");
+    FACE_ASSERT_OK(tb.ReattachFlash());
+    EXPECT_FALSE(tb.IsDegraded());
 
-  RunOptions rewarm;
-  rewarm.txns = 300;
-  FACE_ASSERT_OK_AND_ASSIGN(RunResult res, tb.Run(rewarm));
-  EXPECT_EQ(res.degraded_txns, 0u);
-  EXPECT_GT(res.flash_stats.pages_written, 0u)
-      << "nothing was admitted — the cache never re-warmed";
-  rig.CheckDiff("re-attached flash");
+    RunOptions rewarm;
+    rewarm.txns = 300;
+    FACE_ASSERT_OK_AND_ASSIGN(RunResult res, tb.Run(rewarm));
+    EXPECT_EQ(res.degraded_txns, 0u);
+    EXPECT_GT(res.flash_stats.pages_written, 0u)
+        << "nothing was admitted — the cache never re-warmed";
+    rig.CheckDiff("re-attached flash");
 
-  // The cleared degraded marker is durable: a crash after re-attach must
-  // restart with the cache trusted again.
-  FACE_ASSERT_OK(tb.Crash());
-  RestartReport report;
-  FACE_ASSERT_OK_AND_ASSIGN(report, tb.Recover());
-  EXPECT_FALSE(report.degraded) << report.ToString();
-  rig.CheckDiff("crash after re-attach");
+    // The cleared degraded marker is durable: a crash after re-attach must
+    // restart with the cache trusted again.
+    FACE_ASSERT_OK(tb.Crash());
+    RestartReport report;
+    FACE_ASSERT_OK_AND_ASSIGN(report, tb.Recover());
+    EXPECT_FALSE(report.degraded) << report.ToString();
+    rig.CheckDiff("crash after re-attach");
+  }
 }
 
 TEST(DegradedModeTest, ShardedStormFaultsOneShardOnly) {
