@@ -38,15 +38,6 @@ StatusOr<RestartReport> Database::Recover(IoScheduler* sched,
   return report;
 }
 
-Status Database::ResolveInDoubt(const std::vector<InDoubtTxn>& in_doubt,
-                                const std::vector<uint64_t>& decided,
-                                RestartReport* report, IoScheduler* sched,
-                                uint32_t bg_token) {
-  RestartManager restart(log_, &pool_, &txns_, storage_, cache_, sched,
-                         bg_token);
-  return restart.ResolveInDoubt(in_doubt, decided, report);
-}
-
 Status Database::CleanShutdown() {
   FACE_RETURN_IF_ERROR(pool_.FlushAllToDisk());
   FACE_ASSIGN_OR_RETURN(Lsn ckpt, checkpointer_.TakeCheckpoint());

@@ -53,29 +53,14 @@ class Database {
   Status Open();
 
   /// Full crash recovery (log attach, cache metadata restore, analysis,
-  /// redo, undo, final checkpoint), then catalog reload. Prepared (2PC)
-  /// transactions come back in-doubt in the report — see ResolveInDoubt.
+  /// redo, undo, final checkpoint), then catalog reload.
   StatusOr<RestartReport> Recover(IoScheduler* sched = nullptr,
                                   uint32_t bg_token = 0);
-
-  /// Resolve this shard's in-doubt transactions (from the Recover report)
-  /// against the union of GlobalCommit decisions across every shard's
-  /// report. Call after all shards have recovered, before serving work.
-  Status ResolveInDoubt(const std::vector<InDoubtTxn>& in_doubt,
-                        const std::vector<uint64_t>& decided,
-                        RestartReport* report, IoScheduler* sched = nullptr,
-                        uint32_t bg_token = 0);
 
   // --- transactions ----------------------------------------------------------
   TxnId Begin() { return txns_.Begin(); }
   Status Commit(TxnId txn) { return txns_.Commit(txn); }
   Status Abort(TxnId txn) { return txns_.Abort(txn); }
-  /// 2PC: durable participant vote for cross-shard transaction `gtid`.
-  Status Prepare(TxnId txn, uint64_t gtid) { return txns_.Prepare(txn, gtid); }
-  /// 2PC: the coordinator's durable commit decision for `gtid`.
-  Status LogGlobalCommit(TxnId txn, uint64_t gtid) {
-    return txns_.LogGlobalCommit(txn, gtid);
-  }
   /// PageWriter logging page changes under `txn`.
   PageWriter Writer(TxnId txn) { return PageWriter(&txns_, txn); }
   /// PageWriter for unlogged bulk loads (flush + checkpoint afterwards).

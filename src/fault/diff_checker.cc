@@ -33,7 +33,6 @@ void ResolvePending(const workload::KvTable& table, ShadowState* shadow,
     if (s.ok() && row == workload::KvTable::Row(p.key, vb, p.new_version)) {
       if (p.commit_attempted) {
         shadow->versions[p.key] = p.new_version;  // commit made it down
-        report->pending_outcome = PendingOutcome::kCommitted;
       } else {
         // The crash hit before Commit was even invoked: nothing could have
         // forced the commit record, so the new version surviving recovery
@@ -46,7 +45,6 @@ void ResolvePending(const workload::KvTable& table, ShadowState* shadow,
     } else if (s.ok() &&
                row == workload::KvTable::Row(p.key, vb, p.old_version)) {
       // rolled back (or never applied) — shadow already expects this
-      report->pending_outcome = PendingOutcome::kRolledBack;
     } else {
       AddDivergence(report,
                     "in-doubt update of key " + std::to_string(p.key) +
@@ -59,7 +57,6 @@ void ResolvePending(const workload::KvTable& table, ShadowState* shadow,
   if (s.ok() && row == workload::KvTable::Row(p.key, vb, p.new_version)) {
     if (p.commit_attempted) {
       shadow->versions.push_back(p.new_version);
-      report->pending_outcome = PendingOutcome::kCommitted;
     } else {
       AddDivergence(report,
                     "in-doubt insert of key " + std::to_string(p.key) +
@@ -68,7 +65,6 @@ void ResolvePending(const workload::KvTable& table, ShadowState* shadow,
     }
   } else if (s.IsNotFound()) {
     // rolled back — key space unchanged
-    report->pending_outcome = PendingOutcome::kRolledBack;
   } else {
     AddDivergence(report, "in-doubt insert of key " + std::to_string(p.key) +
                               " neither present nor absent (read: " +
@@ -78,25 +74,11 @@ void ResolvePending(const workload::KvTable& table, ShadowState* shadow,
 
 }  // namespace
 
-const char* PendingOutcomeName(PendingOutcome o) {
-  switch (o) {
-    case PendingOutcome::kNone: return "none";
-    case PendingOutcome::kCommitted: return "committed";
-    case PendingOutcome::kRolledBack: return "rolled-back";
-  }
-  return "?";
-}
-
 void DiffReport::Merge(const DiffReport& other) {
   rows_checked += other.rows_checked;
   divergences += other.divergences;
   invariant_violations += other.invariant_violations;
   frames_audited += other.frames_audited;
-  // The first check of a campaign is the one that resolved the pending op;
-  // later merged checks have none.
-  if (pending_outcome == PendingOutcome::kNone) {
-    pending_outcome = other.pending_outcome;
-  }
   for (const std::string& d : other.details) {
     if (details.size() >= kMaxDetails) break;
     details.push_back(d);

@@ -23,21 +23,12 @@
 namespace face {
 namespace fault {
 
-/// How the checker resolved the in-doubt operation (kNone: there was no
-/// pending op, or it resolved to a divergence). Cross-shard storms compare
-/// the participants' outcomes — atomicity means every shard of one global
-/// transaction resolved the same way.
-enum class PendingOutcome : uint8_t { kNone = 0, kCommitted, kRolledBack };
-
-const char* PendingOutcomeName(PendingOutcome o);
-
 /// Outcome of one differential check.
 struct DiffReport {
   uint64_t rows_checked = 0;
   uint64_t divergences = 0;            ///< rows diverging from the shadow
   uint64_t invariant_violations = 0;   ///< cache-directory audit failures
   uint64_t frames_audited = 0;         ///< FaCE frames read back and verified
-  PendingOutcome pending_outcome = PendingOutcome::kNone;
   /// First few divergences, human-readable (capped).
   std::vector<std::string> details;
 

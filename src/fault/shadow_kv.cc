@@ -129,27 +129,6 @@ StatusOr<uint8_t> ShadowKvWorkload::NextTxn(Database& db, Random& rnd) {
   return kScan;
 }
 
-StatusOr<TxnId> ShadowKvWorkload::BeginCrossShardUpdate(Database& db,
-                                                        uint64_t key) {
-  if (state_->pending.kind != PendingOp::Kind::kNone) {
-    return Status::Internal(
-        "shadow-kv: unresolved pending op before a cross-shard leg");
-  }
-  if (key >= state_->population() || state_->stranded.count(key) != 0) {
-    return Status::InvalidArgument("cross-shard leg on an ineligible key");
-  }
-  PendingOp& p = state_->pending;
-  p.kind = PendingOp::Kind::kUpdate;
-  p.key = key;
-  p.old_version = state_->versions[key];
-  p.new_version = state_->next_version++;
-  const TxnId txn = db.Begin();
-  PageWriter w = db.Writer(txn);
-  FACE_RETURN_IF_ERROR(
-      table_.Update(&w, key, state_->value_bytes, p.new_version));
-  return txn;
-}
-
 Status ShadowKvWorkload::OnInflightRolledBack(Database& db) {
   (void)db;
   const PendingOp p = state_->pending;
@@ -216,18 +195,6 @@ Status ShadowKvFactory::Load(Database& db, uint64_t seed) const {
 
 std::unique_ptr<workload::Workload> ShadowKvFactory::Create() const {
   return std::make_unique<ShadowKvWorkload>(opts_, state_.get());
-}
-
-std::shared_ptr<const workload::WorkloadFactory> ShadowKvFactory::Partition(
-    uint32_t shard, uint32_t num_shards) const {
-  const uint64_t slice =
-      workload::ShardSlice(opts_.records, shard, num_shards);
-  if (slice == 0) return nullptr;
-  ShadowKvOptions o = opts_;
-  o.records = slice;
-  auto state = std::make_shared<ShadowState>();
-  state->Reset(o.records, o.value_bytes);
-  return std::make_shared<ShadowKvFactory>(o, std::move(state));
 }
 
 }  // namespace fault

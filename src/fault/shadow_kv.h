@@ -94,17 +94,6 @@ class ShadowKvWorkload : public workload::Workload {
   /// only legal outcome for a transaction that never completed its commit.
   Status OnInflightRolledBack(Database& db) override;
 
-  /// This shard's leg of a cross-shard (2PC) transaction: begin a local
-  /// transaction, update `key` to a fresh version, record it as the shard's
-  /// pending op (commit_attempted stays false until the caller forces the
-  /// coordinator's decision record), and return the TxnId uncommitted. The
-  /// caller owns the commit protocol and finishes the shadow bookkeeping —
-  /// on success: versions[key] = pending.new_version, pending cleared; at a
-  /// crash the pending stays for the differential checker to resolve.
-  StatusOr<TxnId> BeginCrossShardUpdate(Database& db, uint64_t key);
-
-  ShadowState* state() { return state_; }
-
  private:
   /// A key eligible for an operation (stranded keys are withheld).
   uint64_t PickKey(Random& rnd) const;
@@ -127,13 +116,7 @@ class ShadowKvFactory : public workload::WorkloadFactory {
   Status Load(Database& db, uint64_t seed) const override;
   std::unique_ptr<workload::Workload> Create() const override;
 
-  ShadowState* state() const { return state_.get(); }
   const ShadowKvOptions& options() const { return opts_; }
-
-  /// Partition by key range, with a fresh ShadowState per shard (each shard
-  /// shadows only its own slice; harnesses read it back through state()).
-  std::shared_ptr<const workload::WorkloadFactory> Partition(
-      uint32_t shard, uint32_t num_shards) const override;
 
  private:
   ShadowKvOptions opts_;

@@ -19,7 +19,6 @@
 #include <cstdint>
 #include <map>
 #include <string>
-#include <vector>
 
 #include "buffer/buffer_pool.h"
 #include "common/status.h"
@@ -31,15 +30,6 @@
 #include "wal/log_manager.h"
 
 namespace face {
-
-/// A prepared (2PC) transaction whose fate this shard's log alone cannot
-/// decide: its vote is durable but no local completion record follows.
-/// Resolution needs the union of GlobalCommit decisions across shards.
-struct InDoubtTxn {
-  TxnId txn_id = kInvalidTxnId;
-  uint64_t gtid = 0;
-  Lsn last_lsn = kInvalidLsn;  ///< undo-chain head if the decision is abort
-};
 
 /// Outcome and cost breakdown of one restart.
 struct RestartReport {
@@ -56,13 +46,6 @@ struct RestartReport {
   uint64_t pages_fetched = 0;  ///< buffer misses during recovery
   uint64_t pages_from_flash = 0;
   uint64_t pages_from_disk = 0;
-
-  /// 2PC: prepared transactions awaiting a cross-shard decision (withheld
-  /// from undo, re-registered active, still covered by checkpoints) and
-  /// the GlobalCommit decisions this shard's log recorded.
-  std::vector<InDoubtTxn> in_doubt;
-  /// Sorted + deduplicated (analysis normalizes it; binary-search friendly).
-  std::vector<uint64_t> decided_gtids;
 
   SimNanos attach_ns = 0;        ///< locate end of log
   SimNanos meta_restore_ns = 0;  ///< cache-extension metadata restore
@@ -96,21 +79,8 @@ class RestartManager {
         cache_(cache), sched_(sched), bg_token_(bg_token) {}
 
   /// Run full crash recovery. On success the system is consistent: all
-  /// committed work is present, all loser work is rolled back — except
-  /// prepared (2PC) transactions, which are left in-doubt in the report
-  /// and re-registered active; resolve them with ResolveInDoubt() once
-  /// every shard's decisions are known.
+  /// committed work is present, all loser work is rolled back.
   StatusOr<RestartReport> Run();
-
-  /// Resolve recovered in-doubt transactions against `decided` (the union
-  /// of every shard's decided_gtids, sorted ascending): commit those whose
-  /// gtid was decided (their effects are already in place from redo), roll
-  /// the rest back via log-driven undo with CLRs (presumed abort).
-  /// Finishes with a checkpoint so the resolved state is the new recovery
-  /// floor.
-  Status ResolveInDoubt(const std::vector<InDoubtTxn>& in_doubt,
-                        const std::vector<uint64_t>& decided,
-                        RestartReport* report);
 
  private:
   /// All phases, run inside the scheduler span opened by Run().
@@ -132,8 +102,6 @@ class RestartManager {
   CacheExtension* cache_;
   IoScheduler* sched_;
   uint32_t bg_token_;
-  /// Prepared transactions seen by analysis (txn id -> gtid).
-  std::map<TxnId, uint64_t> prepared_;
 };
 
 }  // namespace face

@@ -180,95 +180,11 @@ StatusOr<RunResult> ShardedTestbed::Run(const RunOptions& run,
   return MergeRunResults(results, opts_.base);
 }
 
-Status ShardedTestbed::Crash() {
-  return ParallelOnAll([this](uint32_t i) { return testbeds_[i]->Crash(); });
-}
-
-StatusOr<std::vector<RestartReport>> ShardedTestbed::Recover() {
-  std::vector<RestartReport> reports(opts_.shards);
-  FACE_RETURN_IF_ERROR(ParallelOnAll([this, &reports](uint32_t i) {
-    FACE_ASSIGN_OR_RETURN(reports[i], testbeds_[i]->Recover());
-    return Status::OK();
-  }));
-
-  // Presumed abort across the machine: a prepared transaction commits iff
-  // *some* shard's log holds its GlobalCommit decision.
-  std::vector<uint64_t> decided;
-  for (const RestartReport& r : reports) {
-    decided.insert(decided.end(), r.decided_gtids.begin(),
-                   r.decided_gtids.end());
-  }
-  std::sort(decided.begin(), decided.end());
-  decided.erase(std::unique(decided.begin(), decided.end()), decided.end());
-  FACE_RETURN_IF_ERROR(ParallelOnAll([this, &reports, &decided](uint32_t i) {
-    return testbeds_[i]->ResolveInDoubt(reports[i].in_doubt, decided,
-                                        &reports[i]);
-  }));
-  return reports;
-}
-
 Status ShardedTestbed::OnShard(uint32_t shard,
                                const std::function<Status(Testbed&)>& fn) {
   if (shard >= opts_.shards) return Status::InvalidArgument("no such shard");
   return workers_[shard]->CallStatus(
       [this, shard, &fn] { return fn(*testbeds_[shard]); });
-}
-
-Status ShardedTestbed::RunCrossShardTxn(
-    uint64_t gtid, const std::vector<CrossShardLeg>& legs,
-    const std::function<void()>& before_decision,
-    const std::function<void()>& on_committed) {
-  if (legs.empty()) {
-    return Status::InvalidArgument("cross-shard transaction with no legs");
-  }
-  for (const CrossShardLeg& leg : legs) {
-    if (leg.shard >= opts_.shards) {
-      return Status::InvalidArgument("cross-shard leg on unknown shard");
-    }
-  }
-
-  // Phase 1 — votes: each leg applies its updates and forces a Prepare
-  // record, as one foreground client span on its own shard clock.
-  std::vector<TxnId> txns(legs.size(), kInvalidTxnId);
-  for (size_t i = 0; i < legs.size(); ++i) {
-    const CrossShardLeg& leg = legs[i];
-    FACE_RETURN_IF_ERROR(OnShard(leg.shard, [&, i](Testbed& tb) {
-      IoScheduler* sched = tb.sched();
-      sched->BeginTxn();
-      sched->OnCpu(tb.options().cpu_per_txn_ns);
-      const StatusOr<TxnId> txn = leg.begin(tb);
-      Status s = txn.ok() ? tb.db()->Prepare(*txn, gtid) : txn.status();
-      sched->EndTxn();
-      if (txn.ok()) txns[i] = *txn;
-      return s;
-    }));
-  }
-
-  if (before_decision) before_decision();
-
-  // Phase 2 — the decision: the first leg's shard is the coordinator; its
-  // forced GlobalCommit record is the commit point of the whole txn.
-  FACE_RETURN_IF_ERROR(OnShard(legs[0].shard, [&](Testbed& tb) {
-    tb.sched()->BeginTxn();
-    const Status s = tb.db()->LogGlobalCommit(txns[0], gtid);
-    tb.sched()->EndTxn();
-    return s;
-  }));
-
-  // Phase 3 — local commits release the prepared transactions. Effects
-  // are durable-or-redoable either way: a crash from here on recovers
-  // every leg as committed via the decided gtid.
-  for (size_t i = 0; i < legs.size(); ++i) {
-    FACE_RETURN_IF_ERROR(OnShard(legs[i].shard, [&, i](Testbed& tb) {
-      tb.sched()->BeginTxn();
-      const Status s = tb.db()->Commit(txns[i]);
-      tb.sched()->EndTxn();
-      return s;
-    }));
-  }
-
-  if (on_committed) on_committed();
-  return Status::OK();
 }
 
 }  // namespace face

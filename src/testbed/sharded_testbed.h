@@ -1,8 +1,7 @@
 // Sharded multi-core execution: N independent Testbeds — each with its own
 // devices, scheduler clock, WAL, and workload slice — driven by N persistent
 // worker threads. Shards never share simulated state; the only cross-shard
-// couplings are the harness-level barriers (Run/Crash/Recover join all
-// workers) and the two-phase commit protocol for cross-shard transactions.
+// coupling is the harness-level barrier: Start/Warmup/Run join all workers.
 //
 // Determinism contract: a shard's entire simulated execution is a pure
 // function of (golden image, TestbedOptions, per-shard seed). Worker
@@ -12,12 +11,9 @@
 // workload factory is used unpartitioned: a one-shard ShardedTestbed is
 // observationally identical to a plain Testbed.
 //
-// Cross-shard transactions use two-phase commit over the per-shard WALs:
-// every participant logs + forces a Prepare vote, the coordinator shard
-// logs + forces the GlobalCommit decision (the commit point), then each
-// participant commits locally. Crash recovery leaves prepared-but-
-// undecided transactions in-doubt; Recover() resolves them against the
-// union of every shard's recovered decisions (presumed abort).
+// Partitioned workloads keep every transaction inside its own shard, so
+// each shard commits and restarts exactly like a plain Testbed: there is
+// no cross-shard commit protocol.
 #pragma once
 
 #include <cstdint>
@@ -47,14 +43,6 @@ struct ShardedTestbedOptions {
   uint64_t golden_seed = 20120827;
 };
 
-/// One leg of a cross-shard transaction: `begin` runs on the shard's
-/// worker, starts a local transaction with its updates applied, and
-/// returns it *uncommitted*; ShardedTestbed drives the commit protocol.
-struct CrossShardLeg {
-  uint32_t shard = 0;
-  std::function<StatusOr<TxnId>(Testbed&)> begin;
-};
-
 /// The sharded rig; see file comment. All public methods are called from
 /// the harness thread and act as barriers: they return only after every
 /// worker involved has gone idle, so inspecting testbed(i) between calls
@@ -78,27 +66,6 @@ class ShardedTestbed {
   /// unit of the determinism fingerprint).
   StatusOr<RunResult> Run(const RunOptions& run,
                           std::vector<RunResult>* per_shard = nullptr);
-
-  /// Power loss on the whole machine: every shard crashes.
-  Status Crash();
-
-  /// Restart all shards in parallel, then resolve in-doubt (2PC)
-  /// transactions against the union of every shard's recovered decisions.
-  /// Returns the per-shard reports (post-resolution).
-  StatusOr<std::vector<RestartReport>> Recover();
-
-  /// Execute one cross-shard transaction `gtid` under two-phase commit:
-  /// each leg begins + prepares on its shard (one foreground client span
-  /// per leg), the first leg's shard logs the GlobalCommit decision, then
-  /// every leg commits locally. `before_decision` runs on the harness
-  /// thread after all votes and immediately before the decision force —
-  /// the moment the outcome flips from "must roll back" to "may commit" —
-  /// and `on_committed` after every local commit landed; both are for
-  /// shadow-state bookkeeping and may be null. Any error leaves the
-  /// protocol where it stopped (exactly what a crash storm wants).
-  Status RunCrossShardTxn(uint64_t gtid, const std::vector<CrossShardLeg>& legs,
-                          const std::function<void()>& before_decision = {},
-                          const std::function<void()>& on_committed = {});
 
   /// Run `fn(testbed)` on shard `i`'s worker thread and wait for it —
   /// for per-shard setup (InjectInflightTransactions, fault arming).

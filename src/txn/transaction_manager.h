@@ -58,41 +58,6 @@ class TransactionManager {
   /// Abort: undo all updates in reverse order with CLRs, then log Abort.
   Status Abort(TxnId txn_id);
 
-  // --- Two-phase commit (cross-shard transactions) --------------------------
-  // A cross-shard transaction runs as one local transaction per shard under
-  // a shared nonzero global id (gtid). Protocol: every participant
-  // Prepare()s (vote logged + forced), then the coordinator logs the
-  // decision with LogGlobalCommit() (the commit point), then every
-  // participant Commit()s. Recovery treats a prepared-but-unresolved
-  // transaction as in-doubt: not undone, surfaced in the RestartReport, and
-  // resolved against the union of decision records across shards.
-
-  /// Phase one: log a Prepare record carrying `gtid` and force the log
-  /// through it. The transaction stays active; after a successful Prepare
-  /// the only legal exits are Commit() or a recovery-driven resolution.
-  /// A transaction that never logged a write prepares vacuously (no
-  /// record): its commit needs no atomicity protocol.
-  Status Prepare(TxnId txn_id, uint64_t gtid);
-
-  /// The decision point: log a GlobalCommit record for `gtid` and force it.
-  /// Once this returns OK the global transaction is durably committed —
-  /// every participant's effects survive any crash, via redo plus in-doubt
-  /// resolution. The record is logged outside any undo chain (`txn_id` is
-  /// bookkeeping only).
-  Status LogGlobalCommit(TxnId txn_id, uint64_t gtid);
-
-  /// Re-register a prepared transaction discovered by recovery analysis as
-  /// active, with its undo-chain head but no in-memory undo entries.
-  /// Checkpoints then carry it (with its gtid) until resolution. Abort()
-  /// on such a transaction is rejected — rollback must be log-driven
-  /// (RestartManager::ResolveInDoubt).
-  void AdoptRecovered(TxnId txn_id, Lsn last_lsn, uint64_t gtid);
-
-  /// Drop a recovered in-doubt transaction from the active table without
-  /// logging (its completion record was already appended by log-driven
-  /// resolution).
-  void ForgetRecovered(TxnId txn_id) { active_.erase(txn_id); }
-
   /// Active-transaction table snapshot for a checkpoint (ascending txn id).
   std::vector<AttEntry> ActiveTxns() const;
 
@@ -123,10 +88,6 @@ class TransactionManager {
   struct Transaction {
     Lsn first_lsn = kInvalidLsn;
     Lsn last_lsn = kInvalidLsn;
-    uint64_t gtid = 0;  ///< nonzero after Prepare (2PC participant)
-    /// Recovery-adopted in-doubt transaction: no in-memory undo entries,
-    /// rollback must be log-driven.
-    bool recovered = false;
     std::vector<UndoEntry> undo;
     /// Concatenated before-images, one arena append per update.
     std::string undo_images;

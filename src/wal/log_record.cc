@@ -82,14 +82,6 @@ void EncodeClrRecordTo(char* dst, Lsn lsn, TxnId txn_id, Lsn prev_lsn,
   FinishRecordCrc(dst, len);
 }
 
-void EncodeGtidRecordTo(char* dst, LogRecordType type, Lsn lsn, TxnId txn_id,
-                        Lsn prev_lsn, uint64_t gtid) {
-  const uint32_t len = GtidRecordSize();
-  char* p = EncodeRecordHeader(dst, len, lsn, txn_id, prev_lsn, type);
-  EncodeFixed64(p, gtid);
-  FinishRecordCrc(dst, len);
-}
-
 void LogRecord::EncodeTo(char* dst) const {
   const uint32_t len = EncodedSize();
   switch (type) {
@@ -108,10 +100,6 @@ void LogRecord::EncodeTo(char* dst) const {
     case LogRecordType::kAbort:
     case LogRecordType::kCheckpointEnd:
       EncodeControlRecordTo(dst, type, lsn, txn_id, prev_lsn);
-      return;
-    case LogRecordType::kPrepare:
-    case LogRecordType::kGlobalCommit:
-      EncodeGtidRecordTo(dst, type, lsn, txn_id, prev_lsn, gtid);
       return;
     case LogRecordType::kCheckpointBegin:
       break;  // encoded below
@@ -132,7 +120,8 @@ void LogRecord::EncodeTo(char* dst) const {
       for (const auto& e : active_txns) {
         EncodeFixed64(p, e.txn_id);
         EncodeFixed64(p + 8, e.last_lsn);
-        EncodeFixed64(p + 16, e.gtid);
+        // Reserved, always zero: a 16-byte entry would change the WAL stream.
+        EncodeFixed64(p + 16, 0);
         p += 24;
       }
       break;
@@ -162,10 +151,6 @@ uint32_t LogRecord::EncodedSize() const {
     case LogRecordType::kCheckpointBegin:
       n += 8 + 4 + 4 + 16 * static_cast<uint32_t>(dirty_pages.size()) +
            24 * static_cast<uint32_t>(active_txns.size());
-      break;
-    case LogRecordType::kPrepare:
-    case LogRecordType::kGlobalCommit:
-      n += 8;
       break;
     default:
       break;
@@ -230,18 +215,11 @@ StatusOr<LogRecord> LogRecord::Decode(const char* data, uint32_t len) {
       }
       rec.active_txns.reserve(n_att);
       for (uint32_t i = 0; i < n_att; ++i) {
-        rec.active_txns.push_back({DecodeFixed64(data + pos),
-                                   DecodeFixed64(data + pos + 8),
-                                   DecodeFixed64(data + pos + 16)});
+        // Skip the reserved third word (see EncodeTo).
+        rec.active_txns.push_back(
+            {DecodeFixed64(data + pos), DecodeFixed64(data + pos + 8)});
         pos += 24;
       }
-      break;
-    }
-    case LogRecordType::kPrepare:
-    case LogRecordType::kGlobalCommit: {
-      if (pos + 8 > len) return Status::Corruption("truncated 2PC record");
-      rec.gtid = DecodeFixed64(data + pos);
-      pos += 8;
       break;
     }
     case LogRecordType::kBegin:

@@ -26,8 +26,6 @@ enum class LogRecordType : uint8_t {
   kClr = 5,              ///< compensation record written during undo
   kCheckpointBegin = 6,  ///< fuzzy checkpoint: DPT + ATT + allocator hwm
   kCheckpointEnd = 7,    ///< checkpoint completed
-  kPrepare = 8,          ///< 2PC: participant vote, forced; carries gtid
-  kGlobalCommit = 9,     ///< 2PC: coordinator decision, forced; carries gtid
 };
 
 /// Dirty-page-table entry captured by a checkpoint.
@@ -39,8 +37,7 @@ struct DptEntry {
 /// Active-transaction-table entry captured by a checkpoint.
 struct AttEntry {
   TxnId txn_id;
-  Lsn last_lsn;       ///< head of the transaction's undo chain
-  uint64_t gtid = 0;  ///< nonzero: prepared under this global txn id (2PC)
+  Lsn last_lsn;  ///< head of the transaction's undo chain
 };
 
 /// In-memory representation of one WAL record (tagged union by `type`).
@@ -61,9 +58,6 @@ struct LogRecord {
   PageId next_page_id = 0;  ///< allocator high-water mark
   std::vector<DptEntry> dirty_pages;
   std::vector<AttEntry> active_txns;
-
-  // kPrepare / kGlobalCommit:
-  uint64_t gtid = 0;  ///< global (cross-shard) transaction id
 
   /// Serialize to the on-media format into `dst`, which must have exactly
   /// EncodedSize() bytes. The hot path: LogManager::Append encodes straight
@@ -104,8 +98,6 @@ inline constexpr uint32_t UpdateRecordSize(uint32_t nb, uint32_t na) {
 inline constexpr uint32_t ClrRecordSize(uint32_t n) {
   return kLogRecordHeaderSize + 8 + 2 + 4 + n + 8;
 }
-/// Stream size of a 2PC record (Prepare / GlobalCommit): a u64 gtid body.
-inline constexpr uint32_t GtidRecordSize() { return kLogRecordHeaderSize + 8; }
 
 /// Encode a header-only record into `dst` (ControlRecordSize() bytes).
 void EncodeControlRecordTo(char* dst, LogRecordType type, Lsn lsn,
@@ -118,8 +110,5 @@ void EncodeUpdateRecordTo(char* dst, Lsn lsn, TxnId txn_id, Lsn prev_lsn,
 void EncodeClrRecordTo(char* dst, Lsn lsn, TxnId txn_id, Lsn prev_lsn,
                        PageId page_id, uint16_t offset, const char* image,
                        uint32_t n, Lsn undo_next_lsn);
-/// Encode a Prepare or GlobalCommit into `dst` (GtidRecordSize() bytes).
-void EncodeGtidRecordTo(char* dst, LogRecordType type, Lsn lsn, TxnId txn_id,
-                        Lsn prev_lsn, uint64_t gtid);
 
 }  // namespace face

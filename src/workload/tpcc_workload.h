@@ -67,8 +67,10 @@ class TpccFactory : public WorkloadFactory {
   }
 
   /// Partition by warehouse: shard `shard` owns its slice of the warehouse
-  /// range (TPC-C's natural sharding key). Null once shards outnumber
-  /// warehouses.
+  /// range (TPC-C's natural sharding key). The slice is re-based at
+  /// warehouse 1, so remote customers and supply warehouses are drawn from
+  /// the shard's own slice: sharded runs are per-shard TPC-C, not
+  /// distributed TPC-C. Null once shards outnumber warehouses.
   std::shared_ptr<const WorkloadFactory> Partition(
       uint32_t shard, uint32_t num_shards) const override {
     const uint64_t w = ShardSlice(config_.warehouses, shard, num_shards);

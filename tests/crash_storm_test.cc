@@ -40,6 +40,16 @@ uint64_t EnvOr(const char* name, uint64_t fallback) {
 uint64_t StormSeeds() { return EnvOr("CRASH_STORM_SEEDS", 20); }
 uint64_t BaseSeed() { return EnvOr("CRASH_STORM_BASE_SEED", 1); }
 
+/// One-line replay of `seed` under the running test, appended to every
+/// failing per-seed check so a red storm can be rerun on its own.
+std::string Repro(uint64_t seed) {
+  const ::testing::TestInfo* t =
+      ::testing::UnitTest::GetInstance()->current_test_info();
+  return "\nrepro: CRASH_STORM_SEEDS=1 CRASH_STORM_BASE_SEED=" +
+         std::to_string(seed) + " ./build/crash_storm_test --gtest_filter=" +
+         t->test_suite_name() + "." + t->name();
+}
+
 /// Run `seeds` storms for one policy; every recovery must pass the
 /// differential checker, and a healthy majority of storms must actually
 /// trip the injector mid-run (otherwise the test is not testing crashes).
@@ -55,10 +65,10 @@ void RunStorms(CachePolicy policy) {
     auto result = harness.RunStorm(seed);
     ASSERT_TRUE(result.ok()) << "policy " << CachePolicyName(policy)
                              << " seed " << seed << ": "
-                             << result.status().ToString();
+                             << result.status().ToString() << Repro(seed);
     EXPECT_TRUE(result->diff.ok())
         << "policy " << CachePolicyName(policy) << " seed " << seed << "\n"
-        << result->ToString();
+        << result->ToString() << Repro(seed);
     if (result->crashed_mid_body) ++tripped;
   }
   EXPECT_GE(tripped, seeds / 2)
@@ -79,13 +89,13 @@ TEST(CrashStormTest, Tac) { RunStorms(CachePolicy::kTac); }
 TEST(CrashStormTest, Exadata) { RunStorms(CachePolicy::kExadata); }
 TEST(CrashStormTest, NoCache) { RunStorms(CachePolicy::kNone); }
 
-TEST(CrashStormTest, CrashDuringRecovery) {
-  // Every seed keeps the injector armed through restart: power fails again
-  // while redo/undo is writing, and the next recovery starts from the torn
-  // remains of the first. Deterministic per seed; the campaign must
-  // actually double-fault, and every final recovery must check clean.
+/// Every seed keeps the injector armed through restart: power fails again
+/// while redo/undo is writing, and the next recovery starts from the torn
+/// remains of the first. Deterministic per seed; the campaign must
+/// actually double-fault, and every final recovery must check clean.
+void RunDoubleFaultStorms(CachePolicy policy) {
   CrashStormOptions opts;
-  opts.policy = CachePolicy::kFace;
+  opts.policy = policy;
   opts.double_fault_pct = 100;
   CrashStormHarness harness(opts);
 
@@ -94,18 +104,40 @@ TEST(CrashStormTest, CrashDuringRecovery) {
   uint64_t double_faulted = 0;
   for (uint64_t seed = base; seed < base + seeds; ++seed) {
     auto result = harness.RunStorm(seed);
-    ASSERT_TRUE(result.ok()) << "seed " << seed << ": "
-                             << result.status().ToString();
-    EXPECT_TRUE(result->diff.ok()) << "seed " << seed << "\n"
-                                   << result->ToString();
+    ASSERT_TRUE(result.ok()) << "policy " << CachePolicyName(policy)
+                             << " seed " << seed << ": "
+                             << result.status().ToString() << Repro(seed);
+    EXPECT_TRUE(result->diff.ok())
+        << "policy " << CachePolicyName(policy) << " seed " << seed << "\n"
+        << result->ToString() << Repro(seed);
     if (result->double_faulted) ++double_faulted;
   }
   // Recovery always writes (CLRs, the final checkpoint), so a countdown of
-  // at most 64 writes should trip for most seeds.
+  // at most 24 writes should trip for most seeds.
   EXPECT_GE(double_faulted, seeds / 2)
       << "too few recoveries were themselves cut down";
-  std::cout << "[ double fault ] " << double_faulted << "/" << seeds
+  std::cout << "[ double fault, " << CachePolicyName(policy) << " ] "
+            << double_faulted << "/" << seeds
             << " storms crashed during recovery\n";
+}
+
+TEST(CrashStormTest, CrashDuringRecoveryFace) {
+  RunDoubleFaultStorms(CachePolicy::kFace);
+}
+TEST(CrashStormTest, CrashDuringRecoveryFaceGsc) {
+  RunDoubleFaultStorms(CachePolicy::kFaceGSC);
+}
+TEST(CrashStormTest, CrashDuringRecoveryLc) {
+  RunDoubleFaultStorms(CachePolicy::kLc);
+}
+TEST(CrashStormTest, CrashDuringRecoveryTac) {
+  RunDoubleFaultStorms(CachePolicy::kTac);
+}
+TEST(CrashStormTest, CrashDuringRecoveryExadata) {
+  RunDoubleFaultStorms(CachePolicy::kExadata);
+}
+TEST(CrashStormTest, CrashDuringRecoveryNoCache) {
+  RunDoubleFaultStorms(CachePolicy::kNone);
 }
 
 TEST(CrashStormTest, GroupSecondChance) {
@@ -118,9 +150,9 @@ TEST(CrashStormTest, GroupSecondChance) {
   for (uint64_t seed = BaseSeed(); seed < BaseSeed() + seeds; ++seed) {
     auto result = harness.RunStorm(seed);
     ASSERT_TRUE(result.ok()) << "seed " << seed << ": "
-                             << result.status().ToString();
+                             << result.status().ToString() << Repro(seed);
     EXPECT_TRUE(result->diff.ok()) << "seed " << seed << "\n"
-                                   << result->ToString();
+                                   << result->ToString() << Repro(seed);
   }
 }
 

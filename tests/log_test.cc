@@ -48,6 +48,10 @@ TEST(LogRecordTest, EncodeDecodeAllTypes) {
   ckpt.dirty_pages = {{1, 100}, {2, 200}};
   ckpt.active_txns = {{9, 300}};
   const std::string cbytes = ckpt.Encode();
+  // Pinned wire format: ATT entries keep a reserved third word, so an entry
+  // is 24 bytes. Shrinking it changes every checkpoint's byte stream, and
+  // with it the timing-guard log fingerprints.
+  EXPECT_EQ(cbytes.size(), kLogRecordHeaderSize + 16 + 2 * 16 + 24);
   FACE_ASSERT_OK_AND_ASSIGN(
       LogRecord cdec,
       LogRecord::Decode(cbytes.data(), static_cast<uint32_t>(cbytes.size())));
@@ -57,6 +61,8 @@ TEST(LogRecordTest, EncodeDecodeAllTypes) {
   EXPECT_EQ(cdec.dirty_pages[1].rec_lsn, 200u);
   ASSERT_EQ(cdec.active_txns.size(), 1u);
   EXPECT_EQ(cdec.active_txns[0].txn_id, 9u);
+  EXPECT_EQ(cdec.active_txns[0].last_lsn, 300u);
+  EXPECT_EQ(cdec.Encode(), cbytes);
 
   LogRecord clr;
   clr.type = LogRecordType::kClr;
@@ -72,6 +78,21 @@ TEST(LogRecordTest, EncodeDecodeAllTypes) {
       LogRecord::Decode(lbytes.data(), static_cast<uint32_t>(lbytes.size())));
   EXPECT_EQ(ldec.undo_next_lsn, 77u);
   EXPECT_EQ(ldec.after, "comp");
+}
+
+TEST(LogRecordTest, DecodeRejectsRetiredRecordTypes) {
+  // Types 8 and 9 are no longer part of the format; a record carrying one
+  // must not decode, however well-formed its framing is.
+  for (const int type : {8, 9}) {
+    std::string bytes(ControlRecordSize(), '\0');
+    EncodeControlRecordTo(bytes.data(), static_cast<LogRecordType>(type),
+                          4096, 1, kInvalidLsn);
+    const Status s =
+        LogRecord::Decode(bytes.data(), static_cast<uint32_t>(bytes.size()))
+            .status();
+    EXPECT_TRUE(s.IsCorruption()) << "type " << type;
+    EXPECT_EQ(s.message(), "unknown log record type") << "type " << type;
+  }
 }
 
 TEST(LogRecordTest, DecodeRejectsCorruption) {

@@ -1,17 +1,12 @@
 // The sharded testbed: per-shard determinism (same seed -> bit-identical
 // per-shard simulated fingerprints, at any shard count, on any thread
 // interleaving), exact equivalence of a one-shard ShardedTestbed with a
-// plain Testbed, throughput scale-up, workload partitioning, and the
-// cross-shard (2PC) crash storm proving atomicity through the
-// differential checker.
+// plain Testbed, throughput scale-up, and workload partitioning.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <iostream>
 #include <memory>
 #include <vector>
 
-#include "testbed/crash_storm.h"
 #include "testbed/sharded_testbed.h"
 #include "tests/test_util.h"
 #include "workload/ycsb_workload.h"
@@ -21,12 +16,6 @@ namespace {
 
 using workload::YcsbFactory;
 using workload::YcsbOptions;
-
-uint64_t EnvOr(const char* name, uint64_t fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  return static_cast<uint64_t>(std::strtoull(v, nullptr, 10));
-}
 
 std::shared_ptr<YcsbFactory> SmallYcsb(uint64_t records = 8000) {
   YcsbOptions o;
@@ -179,47 +168,6 @@ TEST(ShardTest, PartitionSlicesCoverTheWholeWorkload) {
   EXPECT_EQ(total, 1001u);
   // More shards than records: the overflowing shards must refuse.
   EXPECT_EQ(SmallYcsb(3)->Partition(3, 4), nullptr);
-}
-
-TEST(ShardTest, CrossShardAtomicityStorm) {
-  // Sharded crash storms: concurrent per-shard crash workloads laced with
-  // cross-shard 2PC transactions, one machine-wide power failure, parallel
-  // recovery + in-doubt resolution — every differential check must pass,
-  // and every transaction cut mid-protocol must resolve atomically (all
-  // started legs committed iff the decision record survived). Runs at
-  // least SHARD_STORM_SEEDS storms and keeps going (bounded) until the
-  // campaign has seen a mid-2PC cut, so the atomicity path is never
-  // silently skipped.
-  ShardedCrashStormOptions opts;
-  opts.shards = 2;
-  opts.cross_shard_txns = 24;
-  opts.base.workload.records = 600;
-  ShardedCrashStormHarness harness(opts);
-
-  const uint64_t seeds = EnvOr("SHARD_STORM_SEEDS", 10);
-  const uint64_t base = EnvOr("SHARD_STORM_BASE_SEED", 1);
-  uint64_t run = 0, tripped = 0, cuts = 0, committed = 0;
-  for (uint64_t seed = base; run < seeds || (cuts == 0 && run < seeds * 4);
-       ++seed, ++run) {
-    auto result = harness.RunStorm(seed);
-    ASSERT_TRUE(result.ok()) << "seed " << seed << ": "
-                             << result.status().ToString();
-    EXPECT_TRUE(result->diff.ok()) << "seed " << seed << "\n"
-                                   << result->ToString();
-    EXPECT_TRUE(result->atomicity_ok) << "seed " << seed << "\n"
-                                      << result->ToString();
-    if (result->crashed_mid_body) ++tripped;
-    if (result->cross_cut_midway) ++cuts;
-    committed += result->cross_committed;
-  }
-  EXPECT_GE(tripped, run / 2)
-      << "too few sharded storms tripped the injector";
-  EXPECT_GT(committed, 0u) << "no cross-shard transaction ever committed";
-  EXPECT_GT(cuts, 0u) << "no storm ever cut a 2PC transaction mid-protocol ("
-                      << run << " storms)";
-  std::cout << "[ sharded storm ] " << run << " storms, " << tripped
-            << " tripped, " << committed << " 2PC commits, " << cuts
-            << " cut mid-protocol\n";
 }
 
 }  // namespace
