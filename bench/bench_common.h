@@ -102,11 +102,6 @@ inline BenchFlags ParseFlags(int argc, char** argv) {
     }
   }
   if (flags.stats_json || !flags.trace_path.empty()) {
-    if (!FACE_OBS_ENABLED) {
-      fprintf(stderr,
-              "[obs] warning: built with FACE_OBS=OFF; --stats-json/--trace "
-              "produce empty output\n");
-    }
     obs::SetEnabled(true);
     if (!flags.trace_path.empty()) obs::Tracer::Instance().SetEnabled(true);
   }

@@ -5,6 +5,7 @@
 
 #include "common/coding.h"
 #include "common/crc32c.h"
+#include "core/cache_ext.h"
 #include "storage/page.h"
 
 namespace face {
@@ -166,6 +167,21 @@ StatusOr<uint64_t> DeltaRing::Append(PageId pid, uint64_t frame_version,
   ++stats_.records;
   stats_.record_bytes += size;
   return c->tip_version;
+}
+
+StatusOr<bool> DeltaRing::TryAppend(PageId pid, const char* page, bool dirty,
+                                    DeltaWriteHint* hint) {
+  if (hint == nullptr || hint->tracker == nullptr) return false;
+  const PageDeltaTracker& tracker = *hint->tracker;
+  if (tracker.whole_page() || tracker.region_count() == 0) return false;
+  const uint32_t size = PageDeltaRecord::EncodedSizeFor(tracker);
+  if (!CanAppend(pid, hint->flash_version, size)) return false;
+  FACE_ASSIGN_OR_RETURN(const uint64_t version,
+                        Append(pid, hint->flash_version, tracker,
+                               ConstPageView(page).lsn(), dirty, page));
+  if (version == kNoFlashVersion) return false;  // chain died making room
+  hint->new_version = version;
+  return true;
 }
 
 bool DeltaRing::ApplyChain(PageId pid, char* page) const {

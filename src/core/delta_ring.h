@@ -53,6 +53,8 @@
 
 namespace face {
 
+struct DeltaWriteHint;  // core/cache_ext.h
+
 struct DeltaRingOptions {
   uint64_t base_block = 0;  ///< first block of the ring region
   uint32_t n_blocks = 0;    ///< ring size in blocks (>= 2)
@@ -113,6 +115,14 @@ class DeltaRing {
   StatusOr<uint64_t> Append(PageId pid, uint64_t frame_version,
                             const PageDeltaTracker& tracker, Lsn lsn,
                             bool dirty, const char* page);
+
+  /// The one delta-refresh guard of every owner: appends a record for
+  /// `page` (the current full image of `pid`) when `hint` carries a
+  /// non-empty, not whole-page tracker and CanAppend passes for the encoded
+  /// size. True = appended, new tip in hint->new_version; false = the owner
+  /// must write the full page (also when the chain died making room).
+  StatusOr<bool> TryAppend(PageId pid, const char* page, bool dirty,
+                           DeltaWriteHint* hint);
 
   /// Patches `pid`'s chain (if any) into `page`, which must hold the chain's
   /// base image, then restamps pageLSN + checksum. Returns true when a

@@ -42,6 +42,8 @@ FaceObs& GetFaceObs() {
   return o;
 }
 
+using Replacement = FaceOptions::Replacement;
+
 constexpr uint64_t kSuperMagic = 0xFACEAC4E2012ull;
 
 // Superblock layout within block 0:
@@ -89,13 +91,13 @@ FaceOptions FaceOptions::Base(uint64_t n_frames) {
 
 FaceOptions FaceOptions::GroupReplace(uint64_t n_frames) {
   FaceOptions o = Base(n_frames);
-  o.group_replace = true;
+  o.replacement = Replacement::kGroup;
   return o;
 }
 
 FaceOptions FaceOptions::GroupSecondChance(uint64_t n_frames) {
-  FaceOptions o = GroupReplace(n_frames);
-  o.second_chance = true;
+  FaceOptions o = Base(n_frames);
+  o.replacement = Replacement::kGroupSecondChance;
   return o;
 }
 
@@ -109,24 +111,24 @@ FaceCache::FaceCache(const FaceOptions& options, SimDevice* flash,
                               static_cast<uint32_t>(layout_.delta_blocks)},
              flash) {
   assert(options_.n_frames >= 2);
-  assert(!options_.second_chance || options_.group_replace ||
-         (options_.group_replace = true));  // GSC implies GR
-  if (options_.second_chance) options_.group_replace = true;
   assert(flash_->capacity_pages() >= layout_.total_blocks);
   newest_.Reserve(options_.n_frames);  // steady state never rehashes
   scratch_.resize(kPageSize);
   consolidate_buf_.resize(kPageSize);
-  if (options_.group_replace) {
-    staging_buf_.resize(static_cast<size_t>(options_.group_size) * kPageSize);
-  }
+  const uint32_t batch =
+      options_.replacement == Replacement::kFifo ? 1 : options_.group_size;
+  staging_buf_.resize(static_cast<size_t>(batch) * kPageSize);
   delta_.SetConsolidateFn([this](const std::vector<PageId>& pids) {
     return ConsolidateDeltaPages(pids);
   });
 }
 
 const char* FaceCache::name() const {
-  if (options_.second_chance) return "FaCE+GSC";
-  if (options_.group_replace) return "FaCE+GR";
+  switch (options_.replacement) {
+    case Replacement::kFifo: return "FaCE";
+    case Replacement::kGroup: return "FaCE+GR";
+    case Replacement::kGroupSecondChance: return "FaCE+GSC";
+  }
   return "FaCE";
 }
 
@@ -174,17 +176,13 @@ void FaceCache::StampInto(char* dst, const char* page, PageId page_id,
 
 Status FaceCache::WriteFrame(uint64_t seq, const char* page, PageId page_id,
                              Lsn lsn) {
-  if (options_.group_replace) {
-    if (staged_count_ == 0) staged_base_ = seq;
-    assert(staged_base_ + staged_count_ == seq);
-    StampInto(StagingSlot(staged_count_), page, page_id, lsn, seq);
-    ++staged_count_;
-    if (staged_count_ >= options_.group_size) return FlushStaging();
-    return Status::OK();
-  }
-  StampInto(scratch_.data(), page, page_id, lsn, seq);
-  ++stats_.flash_writes;
-  return flash_->Write(layout_.FrameBlock(seq), scratch_.data());
+  if (staged_count_ == 0) staged_base_ = seq;
+  assert(staged_base_ + staged_count_ == seq);
+  StampInto(StagingSlot(staged_count_), page, page_id, lsn, seq);
+  ++staged_count_;
+  const bool arena_full =
+      static_cast<size_t>(staged_count_) * kPageSize == staging_buf_.size();
+  return arena_full ? FlushStaging() : Status::OK();
 }
 
 Status FaceCache::FlushStaging() {
@@ -206,6 +204,17 @@ Status FaceCache::FlushStaging() {
   stats_.flash_writes += count;
   staged_count_ = 0;
   staged_base_ = rear_seq_;
+  return Status::OK();
+}
+
+Status FaceCache::ReadFrame(uint64_t seq, char* out) {
+  if (IsStaged(seq)) {
+    // Still in the controller write buffer: serve from memory.
+    memcpy(out, StagingSlot(seq - staged_base_), kPageSize);
+    return Status::OK();
+  }
+  FACE_RETURN_IF_ERROR(flash_->Read(layout_.FrameBlock(seq), out));
+  ++stats_.flash_reads;
   return Status::OK();
 }
 
@@ -260,16 +269,12 @@ StatusOr<FlashReadResult> FaceCache::ReadPage(PageId page_id, char* out) {
   Entry& e = EntryAt(seq);
   e.referenced = true;
 
-  if (options_.group_replace && seq >= staged_base_ && staged_count_ > 0) {
-    // Still in the controller write buffer: serve from memory.
-    memcpy(out, StagingSlot(seq - staged_base_), kPageSize);
-  } else {
-    FACE_RETURN_IF_ERROR(flash_->Read(layout_.FrameBlock(seq), out));
-    ++stats_.flash_reads;
-    ConstPageView view(out);
-    if (!view.VerifyChecksum() || view.page_id() != page_id) {
-      return Status::Corruption("flash cache frame failed validation");
-    }
+  // A staged frame was stamped in memory; only media reads need checking.
+  const bool from_flash = !IsStaged(seq);
+  FACE_RETURN_IF_ERROR(ReadFrame(seq, out));
+  ConstPageView view(out);
+  if (from_flash && (!view.VerifyChecksum() || view.page_id() != page_id)) {
+    return Status::Corruption("flash cache frame failed validation");
   }
   // The frame is the chain *base*; patch any delta records on top and hand
   // the caller the tip version so it can delta against this copy later.
@@ -307,24 +312,22 @@ Status FaceCache::Enqueue(PageId page_id, const char* page, bool dirty,
 
 Status FaceCache::DequeueOne() {
   assert(live_entries() > 0);
-  const Entry e = entries_.front();
+  const Entry& e = entries_.front();
+  if (e.page_id != kInvalidPageId && e.valid && e.dirty) {
+    // Read the frame back into the scratch page and stage it out to disk.
+    FACE_RETURN_IF_ERROR(ReadFrame(front_seq_, scratch_.data()));
+    // The frame is a chain base: destage the *tip* image, not the stale
+    // base (the chain carries all refreshes since the full write).
+    delta_.ApplyChain(e.page_id, scratch_.data());
+    FACE_RETURN_IF_ERROR(WriteHome(e.page_id, scratch_.data()));
+  }
+  PopFront();
+  return Status::OK();
+}
+
+void FaceCache::PopFront() {
+  const Entry& e = entries_.front();
   if (e.page_id != kInvalidPageId && e.valid) {
-    if (e.dirty) {
-      // Read the frame back into the scratch page and stage it out to disk.
-      if (options_.group_replace && front_seq_ >= staged_base_ &&
-          staged_count_ > 0) {
-        FACE_RETURN_IF_ERROR(FlushStaging());
-      }
-      FACE_RETURN_IF_ERROR(flash_->Read(layout_.FrameBlock(front_seq_),
-                                        scratch_.data()));
-      ++stats_.flash_reads;
-      // The frame is a chain base: destage the *tip* image, not the stale
-      // base (the chain carries all refreshes since the full write).
-      delta_.ApplyChain(e.page_id, scratch_.data());
-      FACE_RETURN_IF_ERROR(storage_->WritePage(e.page_id, scratch_.data()));
-      ++stats_.disk_writes;
-      NoteDestagedToDisk(e.page_id);
-    }
     const uint64_t* seq = newest_.Find(e.page_id);
     if (seq != nullptr && *seq == front_seq_) {
       newest_.Erase(e.page_id);
@@ -333,7 +336,6 @@ Status FaceCache::DequeueOne() {
   }
   entries_.pop_front();
   ++front_seq_;
-  return Status::OK();
 }
 
 Status FaceCache::DequeueGroup() {
@@ -343,9 +345,7 @@ Status FaceCache::DequeueGroup() {
   obs::ScopedSpan span("core.face", "group_dequeue");
   if (obs::Enabled()) GetFaceObs().group_dequeue_pages->Add(batch);
   // Never read frames whose bytes are still staged in memory.
-  if (staged_count_ > 0 && front_seq_ + batch > staged_base_) {
-    FACE_RETURN_IF_ERROR(FlushStaging());
-  }
+  if (IsStaged(front_seq_ + batch - 1)) FACE_RETURN_IF_ERROR(FlushStaging());
   if (dequeue_buf_.size() < static_cast<size_t>(batch) * kPageSize) {
     dequeue_buf_.resize(static_cast<size_t>(batch) * kPageSize);
   }
@@ -369,8 +369,9 @@ Status FaceCache::DequeueGroup() {
     Lsn lsn;
   };  // bytes point into dequeue_buf_; disjoint from the pages written below
   std::vector<Survivor> survivors;
+  const bool gsc = options_.replacement == Replacement::kGroupSecondChance;
   uint32_t referenced_valid = 0;
-  if (options_.second_chance) {
+  if (gsc) {
     for (uint32_t k = 0; k < batch; ++k) {
       const Entry& e = EntryAt(front_seq_ + k);
       if (e.valid && e.referenced && e.page_id != kInvalidPageId) {
@@ -384,32 +385,19 @@ Status FaceCache::DequeueGroup() {
     const Entry& e = EntryAt(front_seq_ + k);
     if (e.page_id == kInvalidPageId || !e.valid) continue;
     char* bytes = buf + static_cast<size_t>(k) * kPageSize;
-    const bool second_chance = options_.second_chance && e.referenced &&
-                               !(all_referenced && k == 0);
+    const bool second_chance =
+        gsc && e.referenced && !(all_referenced && k == 0);
     if (second_chance) {
       survivors.push_back(Survivor{e.page_id, bytes, e.dirty, e.lsn});
     } else if (e.dirty) {
       // WritePage stamps id+checksum in place; this batch slot is dead
       // afterwards (a page is either written out or a survivor, never both).
-      FACE_RETURN_IF_ERROR(storage_->WritePage(e.page_id, bytes));
-      ++stats_.disk_writes;
-      NoteDestagedToDisk(e.page_id);
+      FACE_RETURN_IF_ERROR(WriteHome(e.page_id, bytes));
     }
   }
 
   // Pop the batch (erasing valid mappings; survivors re-map on re-enqueue).
-  for (uint32_t k = 0; k < batch; ++k) {
-    const Entry& e = entries_.front();
-    if (e.page_id != kInvalidPageId && e.valid) {
-      const uint64_t* seq = newest_.Find(e.page_id);
-      if (seq != nullptr && *seq == front_seq_) {
-        newest_.Erase(e.page_id);
-        delta_.Drop(e.page_id);
-      }
-    }
-    entries_.pop_front();
-    ++front_seq_;
-  }
+  for (uint32_t k = 0; k < batch; ++k) PopFront();
 
   for (const Survivor& s : survivors) {
     ++stats_.second_chances;
@@ -421,10 +409,8 @@ Status FaceCache::DequeueGroup() {
 
 Status FaceCache::MakeRoom() {
   if (live_entries() < options_.n_frames) return Status::OK();
-  in_group_replace_ = true;
-  Status s = options_.group_replace ? DequeueGroup() : DequeueOne();
-  in_group_replace_ = false;
-  return s;
+  return options_.replacement == Replacement::kFifo ? DequeueOne()
+                                                    : DequeueGroup();
 }
 
 Status FaceCache::FillBatchFromDram() {
@@ -442,54 +428,29 @@ Status FaceCache::FillBatchFromDram() {
                                          &rec_lsn);
     if (pid == kInvalidPageId) break;
     ++stats_.pulled_from_dram;
-    if (dirty) ++stats_.dirty_evictions;
-    // Normal mvFIFO admission rule for the pulled page.
-    if (fdirty || !Contains(pid)) {
-      if ((dirty && !options_.cache_dirty)) {
-        if (const uint64_t* seq = newest_.Find(pid)) {
-          EntryAt(*seq).valid = false;
-          newest_.Erase(pid);
-          delta_.Drop(pid);
-          ++stats_.invalidations;
-        }
-        FACE_RETURN_IF_ERROR(storage_->WritePage(pid, page.data()));
-        ++stats_.disk_writes;
-        NoteDestagedToDisk(pid);
-        continue;
-      }
-      if (!dirty && !options_.cache_clean) continue;
-      if (dirty) NoteDirtyAdmission(pid, rec_lsn, page.data());
-      FACE_RETURN_IF_ERROR(
-          Enqueue(pid, page.data(), dirty, ConstPageView(page.data()).lsn()));
-    }
+    // The loop guard leaves room, so admitting a pulled page never
+    // triggers another replacement.
+    FACE_RETURN_IF_ERROR(
+        Admit(pid, page.data(), dirty, fdirty, rec_lsn, nullptr).status());
   }
   return Status::OK();
 }
 
 StatusOr<bool> FaceCache::TryDeltaRefresh(PageId page_id, const char* page,
                                           bool dirty, DeltaWriteHint* hint) {
-  if (hint == nullptr || hint->tracker == nullptr) return false;
-  const PageDeltaTracker& tracker = *hint->tracker;
-  if (tracker.whole_page() || tracker.region_count() == 0) return false;
-  const uint32_t size = PageDeltaRecord::EncodedSizeFor(tracker);
-  if (!delta_.CanAppend(page_id, hint->flash_version, size)) return false;
   const uint64_t* seqp = newest_.Find(page_id);
   if (seqp == nullptr) return false;  // chain would be unmatched at restart
   Entry& e = EntryAt(*seqp);
   if (!e.valid) return false;
-
-  const Lsn lsn = ConstPageView(page).lsn();
-  auto version =
-      delta_.Append(page_id, hint->flash_version, tracker, lsn, dirty, page);
-  if (!version.ok()) return version.status();
-  if (*version == kNoFlashVersion) return false;  // chain died making room
+  FACE_ASSIGN_OR_RETURN(const bool appended,
+                        delta_.TryAppend(page_id, page, dirty, hint));
+  if (!appended) return false;
 
   // The entry now describes base + chain: its LSN advances to the record's
   // (recovery's duplicate resolution and the destage path both rely on it),
   // and a dirty record makes the flash copy newer than disk.
-  e.lsn = lsn;
+  e.lsn = ConstPageView(page).lsn();
   e.dirty = e.dirty || dirty;
-  hint->new_version = *version;
   if (obs::Enabled()) GetFaceObs().delta_appends->Increment();
   return true;
 }
@@ -508,79 +469,77 @@ Status FaceCache::ConsolidateDeltaPages(const std::vector<PageId>& pids) {
     // Rebuild the tip image (base + chain) and re-enqueue it as a fresh
     // full frame; Enqueue re-bases the chain, freeing the doomed records.
     char* img = consolidate_buf_.data();
-    if (options_.group_replace && staged_count_ > 0 && seq >= staged_base_) {
-      memcpy(img, StagingSlot(seq - staged_base_), kPageSize);
-    } else {
-      FACE_RETURN_IF_ERROR(flash_->Read(layout_.FrameBlock(seq), img));
-      ++stats_.flash_reads;
-    }
+    FACE_RETURN_IF_ERROR(ReadFrame(seq, img));
     delta_.ApplyChain(pid, img);
     const bool dirty = e.dirty;
     const Lsn lsn = e.lsn;
-    if (live_entries() >= options_.n_frames) FACE_RETURN_IF_ERROR(MakeRoom());
+    FACE_RETURN_IF_ERROR(MakeRoom());
     FACE_RETURN_IF_ERROR(Enqueue(pid, img, dirty, lsn));
     if (obs::Enabled()) GetFaceObs().delta_consolidations->Increment();
   }
   // The fresh full frames must hit the media before the ring slot is
-  // reused — in group-replace mode they are sitting in the staging arena.
+  // reused — they may still sit in the staging arena.
   return FlushStaging();
 }
 
 Status FaceCache::OnDramEvict(PageId page_id, char* page, bool dirty,
                               bool fdirty, Lsn rec_lsn, DeltaWriteHint* hint) {
+  FACE_ASSIGN_OR_RETURN(const bool made_room,
+                        Admit(page_id, page, dirty, fdirty, rec_lsn, hint));
+  // GSC: the replacement just emptied a group; fill the staged batch with
+  // victims pulled from the DRAM LRU tail.
+  if (made_room && options_.replacement == Replacement::kGroupSecondChance) {
+    return FillBatchFromDram();
+  }
+  return Status::OK();
+}
+
+StatusOr<bool> FaceCache::Admit(PageId page_id, char* page, bool dirty,
+                                bool fdirty, Lsn rec_lsn,
+                                DeltaWriteHint* hint) {
   if (dirty) ++stats_.dirty_evictions;
 
   // Design-choice ablations (§3.2 "caching clean and dirty"). When a dirty
   // page bypasses the cache to disk, any older flash copy is now stale and
   // must be invalidated or later reads would serve it.
   if (dirty && !options_.cache_dirty) {
-    if (const uint64_t* seq = newest_.Find(page_id)) {
-      EntryAt(*seq).valid = false;
-      newest_.Erase(page_id);
-      delta_.Drop(page_id);
-      ++stats_.invalidations;
-    }
-    FACE_RETURN_IF_ERROR(storage_->WritePage(page_id, page));
-    ++stats_.disk_writes;
-    NoteDestagedToDisk(page_id);
-    return Status::OK();
+    Invalidate(page_id);
+    FACE_RETURN_IF_ERROR(WriteHome(page_id, page));
+    return false;
   }
-  if (!dirty && !options_.cache_clean) return Status::OK();
+  if (!dirty && !options_.cache_clean) return false;
 
   // Algorithm 1: unconditional enqueue when fdirty, conditional (absent-only)
   // otherwise.
-  if (!fdirty && Contains(page_id)) return Status::OK();
+  if (!fdirty && Contains(page_id)) return false;
 
-  bool enqueue_dirty = dirty;
   if (options_.write_through && dirty) {
-    FACE_RETURN_IF_ERROR(storage_->WritePage(page_id, page));
-    ++stats_.disk_writes;
-    NoteDestagedToDisk(page_id);
-    enqueue_dirty = false;  // disk already current
+    FACE_RETURN_IF_ERROR(WriteHome(page_id, page));
+    dirty = false;  // disk already current
   }
-  if (enqueue_dirty) NoteDirtyAdmission(page_id, rec_lsn, page);
+  return Store(page_id, page, dirty, rec_lsn, hint);
+}
+
+StatusOr<bool> FaceCache::Store(PageId page_id, const char* page, bool dirty,
+                                Lsn rec_lsn, DeltaWriteHint* hint) {
+  if (dirty) NoteDirtyAdmission(page_id, rec_lsn, page);
 
   // Page-differential fast path: a small refresh of a page whose chain tip
-  // matches the evicted frame's version becomes a compact delta record in
-  // the shared ring — no frame write, no metadata append.
-  auto refreshed = TryDeltaRefresh(page_id, page, enqueue_dirty, hint);
-  if (!refreshed.ok()) return refreshed.status();
-  if (*refreshed) {
-    stats_.MirrorDelta(delta_.stats());
-    return Status::OK();
-  }
-
-  const bool was_full = live_entries() >= options_.n_frames;
-  if (was_full) FACE_RETURN_IF_ERROR(MakeRoom());
-  uint64_t version = kNoFlashVersion;
-  FACE_RETURN_IF_ERROR(Enqueue(page_id, page, enqueue_dirty,
-                               ConstPageView(page).lsn(), &version));
-  if (hint != nullptr) hint->new_version = version;
-  if (options_.second_chance && was_full) {
-    FACE_RETURN_IF_ERROR(FillBatchFromDram());
+  // matches the frame's version becomes a compact delta record in the
+  // shared ring — no frame write, no metadata append.
+  FACE_ASSIGN_OR_RETURN(const bool refreshed,
+                        TryDeltaRefresh(page_id, page, dirty, hint));
+  bool made_room = false;
+  if (!refreshed) {
+    made_room = live_entries() >= options_.n_frames;
+    FACE_RETURN_IF_ERROR(MakeRoom());
+    uint64_t version = kNoFlashVersion;
+    FACE_RETURN_IF_ERROR(Enqueue(page_id, page, dirty,
+                                 ConstPageView(page).lsn(), &version));
+    if (hint != nullptr) hint->new_version = version;
   }
   stats_.MirrorDelta(delta_.stats());
-  return Status::OK();
+  return made_room;
 }
 
 StatusOr<bool> FaceCache::CheckpointPage(PageId page_id, char* page,
@@ -589,20 +548,8 @@ StatusOr<bool> FaceCache::CheckpointPage(PageId page_id, char* page,
   // flash copy becomes the persistent version (still newer than disk).
   // Small refreshes ride the delta ring (made durable by OnCheckpoint's
   // Flush before the checkpoint completes).
-  NoteDirtyAdmission(page_id, rec_lsn, page);
-  auto refreshed = TryDeltaRefresh(page_id, page, /*dirty=*/true, hint);
-  if (!refreshed.ok()) return refreshed.status();
-  if (*refreshed) {
-    stats_.MirrorDelta(delta_.stats());
-    return true;
-  }
-  const bool was_full = live_entries() >= options_.n_frames;
-  if (was_full) FACE_RETURN_IF_ERROR(MakeRoom());
-  uint64_t version = kNoFlashVersion;
-  FACE_RETURN_IF_ERROR(Enqueue(page_id, page, /*dirty=*/true,
-                               ConstPageView(page).lsn(), &version));
-  if (hint != nullptr) hint->new_version = version;
-  stats_.MirrorDelta(delta_.stats());
+  FACE_RETURN_IF_ERROR(
+      Store(page_id, page, /*dirty=*/true, rec_lsn, hint).status());
   return true;
 }
 
@@ -618,12 +565,7 @@ Status FaceCache::OnCheckpoint() {
 }
 
 Status FaceCache::RecoverAfterCrash() {
-  entries_.clear();
-  newest_.Clear();
-  dirty_since_.Clear();
-  staged_count_ = 0;
-  scrub_seq_ = 0;
-  seg_buf_.clear();
+  ResetState();
   recovery_info_ = RecoveryInfo();
 
   std::string block(kPageSize, '\0');
@@ -801,6 +743,22 @@ void FaceCache::SetRecoveredDirtyFloor(Lsn floor) {
   });
 }
 
+Status FaceCache::WriteHome(PageId page_id, char* page) {
+  FACE_RETURN_IF_ERROR(storage_->WritePage(page_id, page));
+  ++stats_.disk_writes;
+  dirty_since_.Erase(page_id);
+  return Status::OK();
+}
+
+void FaceCache::Invalidate(PageId page_id) {
+  if (const uint64_t* seq = newest_.Find(page_id)) {
+    EntryAt(*seq).valid = false;
+    newest_.Erase(page_id);
+    delta_.Drop(page_id);
+    ++stats_.invalidations;
+  }
+}
+
 void FaceCache::NoteDirtyAdmission(PageId page_id, Lsn rec_lsn,
                                    const char* page) {
   // First dirty admission wins: on a re-dirty chain the disk copy has been
@@ -896,8 +854,7 @@ Status FaceCache::ScrubSome(uint64_t max_frames, ScrubResult* out) {
     ++scrub_seq_;
     if (scrub_seq_ >= rear_seq_) scrub_seq_ = front_seq_;
     Entry& e = EntryAt(seq);
-    if (!e.valid) continue;
-    if (staged_count_ > 0 && seq >= staged_base_) continue;
+    if (!e.valid || IsStaged(seq)) continue;
     FACE_RETURN_IF_ERROR(flash_->Read(layout_.FrameBlock(seq), frame.data()));
     ++stats_.flash_reads;
     ++out->frames_scanned;
@@ -927,11 +884,8 @@ Status FaceCache::ScrubSome(uint64_t max_frames, ScrubResult* out) {
     Lsn floor = e.lsn;
     if (const Lsn* since = dirty_since_.Find(e.page_id)) floor = *since;
     out->lost_dirty.push_back(FlashOnlyPage{e.page_id, floor});
-    e.valid = false;
-    newest_.Erase(e.page_id);
-    delta_.Drop(e.page_id);
+    Invalidate(e.page_id);
     dirty_since_.Erase(e.page_id);
-    ++stats_.invalidations;
     FACE_RETURN_IF_ERROR(PersistEntryDrop(seq));
   }
   return Status::OK();
@@ -944,15 +898,8 @@ StatusOr<uint64_t> FaceCache::AuditFrames() {
   for (uint64_t seq = front_seq_; seq < rear_seq_; ++seq) {
     const Entry& e = EntryAt(seq);
     if (!e.valid) continue;
-    const char* bytes;
-    if (staged_count_ > 0 && seq >= staged_base_) {
-      bytes = StagingSlot(seq - staged_base_);
-    } else {
-      FACE_RETURN_IF_ERROR(flash_->Read(layout_.FrameBlock(seq), buf.data()));
-      ++stats_.flash_reads;
-      bytes = buf.data();
-    }
-    ConstPageView view(bytes);
+    FACE_RETURN_IF_ERROR(ReadFrame(seq, buf.data()));
+    ConstPageView view(buf.data());
     if (!view.VerifyChecksum()) {
       return Status::Corruption("audit: mapped frame fails checksum (seq " +
                                 std::to_string(seq) + ")");
@@ -961,8 +908,7 @@ StatusOr<uint64_t> FaceCache::AuditFrames() {
       return Status::Corruption("audit: frame page id mismatch (seq " +
                                 std::to_string(seq) + ")");
     }
-    if (PageView(const_cast<char*>(bytes)).flags() !=
-        static_cast<uint32_t>(seq)) {
+    if (PageView(buf.data()).flags() != static_cast<uint32_t>(seq)) {
       return Status::Corruption("audit: frame sequence stamp mismatch (seq " +
                                 std::to_string(seq) + ")");
     }
@@ -970,7 +916,6 @@ StatusOr<uint64_t> FaceCache::AuditFrames() {
     if (delta_.GetChain(e.page_id, &cv) && cv.len > 0) {
       // The chain's tip must reconstruct cleanly on top of this base and
       // land exactly on the entry's LSN.
-      if (bytes != buf.data()) memcpy(buf.data(), bytes, kPageSize);
       delta_.ApplyChain(e.page_id, buf.data());
       ConstPageView tip(buf.data());
       if (!tip.VerifyChecksum() || tip.lsn() != e.lsn) {
@@ -990,8 +935,7 @@ Status FaceCache::CheckInvariants() const {
   if (live_entries() > options_.n_frames) {
     return Status::Internal("queue over capacity");
   }
-  if (options_.group_replace && staged_count_ > 0 &&
-      staged_base_ + staged_count_ != rear_seq_) {
+  if (staged_count_ > 0 && staged_base_ + staged_count_ != rear_seq_) {
     return Status::Internal("staging range out of sync with rear");
   }
   uint64_t valid_count = 0;

@@ -41,11 +41,14 @@ struct FaceOptions {
   uint64_t n_frames = 0;
   /// Metadata entries per persistent segment (paper: 64,000 = 1.5 MB).
   uint32_t seg_entries = 64000;
-  /// Batch dequeue/enqueue in group_size-page device requests (GR).
-  bool group_replace = false;
-  /// Give referenced pages a second chance and pull DRAM victims to fill
-  /// batches (GSC; implies group_replace).
-  bool second_chance = false;
+  /// Replacement flavor (paper §3.3).
+  enum class Replacement : uint8_t {
+    kFifo,               ///< base mvFIFO: one page per dequeue and write
+    kGroup,              ///< GR: group_size-page dequeues and writes
+    kGroupSecondChance,  ///< GSC: GR, re-enqueueing referenced pages and
+                         ///< pulling DRAM victims to fill batches
+  };
+  Replacement replacement = Replacement::kFifo;
   /// Pages per group (paper: pages in a flash block, typically 64 or 128).
   uint32_t group_size = 64;
 
@@ -147,23 +150,34 @@ class FaceCache final : public CacheExtension {
     return entries_[seq - front_seq_];
   }
 
+  /// Algorithm 1 plus the §3.2 ablations (cache_clean, cache_dirty,
+  /// write_through) for one page leaving DRAM, evicted or pulled. True when
+  /// a full enqueue had to make room first.
+  StatusOr<bool> Admit(PageId page_id, char* page, bool dirty, bool fdirty,
+                       Lsn rec_lsn, DeltaWriteHint* hint);
+  /// Put the current image of a page on flash: a delta record when `hint`
+  /// allows, else a full enqueue, making room first. True when room had to
+  /// be made.
+  StatusOr<bool> Store(PageId page_id, const char* page, bool dirty,
+                       Lsn rec_lsn, DeltaWriteHint* hint);
   /// Append a page at the rear (the page must fit: live < n_frames). The
   /// full image re-bases the page's delta chain; `out_version` (optional)
   /// receives the fresh chain-tip version for the buffer pool.
   Status Enqueue(PageId page_id, const char* page, bool dirty, Lsn lsn,
                  uint64_t* out_version = nullptr);
-  /// Page-differential fast path: when the evicted/checkpointed frame's
-  /// tracked regions are small and its version matches the chain tip,
-  /// append a delta record instead of a full frame. True = handled (entry
-  /// lsn/dirty advanced, hint->new_version filled); false = caller must
-  /// take the full-write path.
+  /// Page-differential fast path: when the page's newest entry is valid and
+  /// DeltaRing::TryAppend takes the refresh, append a delta record instead
+  /// of a full frame. True = handled (entry lsn/dirty advanced,
+  /// hint->new_version filled); false = caller must take the full-write
+  /// path.
   StatusOr<bool> TryDeltaRefresh(PageId page_id, const char* page, bool dirty,
                                  DeltaWriteHint* hint);
   /// DeltaRing slot-reuse callback: re-enqueue the current tip image of
   /// every page whose chain still has records in the slot being reclaimed,
   /// then make the fresh full frames durable.
   Status ConsolidateDeltaPages(const std::vector<PageId>& pids);
-  /// Free at least one slot per the configured replacement flavor.
+  /// When the queue is full, free at least one slot per the replacement
+  /// flavor.
   Status MakeRoom();
   /// Base mvFIFO: stage out one page with individual I/Os.
   Status DequeueOne();
@@ -174,19 +188,27 @@ class FaceCache final : public CacheExtension {
   /// full or no free slots/victims remain.
   Status FillBatchFromDram();
 
-  /// Write `page` into the frame for `seq` (immediate or staged).
+  /// Stage `page` as the frame for `seq`; a full staging arena is flushed.
   Status WriteFrame(uint64_t seq, const char* page, PageId page_id, Lsn lsn);
   /// Flush staged frames as (wrap-split) batch writes straight out of the
-  /// staging arena.
+  /// staging arena — the only way enqueued frames reach the device.
   Status FlushStaging();
+  /// Copy the frame for `seq` into `out`: from the staging arena while it
+  /// is still there, else one flash read.
+  Status ReadFrame(uint64_t seq, char* out);
   /// Read `count` frames starting at `seq` into `out` (wrap-split batches).
   Status ReadFrames(uint64_t seq, uint32_t count, char* out);
 
   /// dirty_since_ bookkeeping: the disk copy of `page_id` just became
-  /// stale (first dirty admission) / current again (dirty destage or an
-  /// ablation bypass write).
+  /// stale (first dirty admission).
   void NoteDirtyAdmission(PageId page_id, Lsn rec_lsn, const char* page);
-  void NoteDestagedToDisk(PageId page_id) { dirty_since_.Erase(page_id); }
+  /// Write `page` to its disk home (dirty destage or an ablation bypass
+  /// write): the disk copy is current again, so the page leaves the ledger.
+  Status WriteHome(PageId page_id, char* page);
+  /// Invalidate the cached copy of `page_id`, if any (no flash I/O).
+  void Invalidate(PageId page_id);
+  /// Pop the front entry, unmapping its page if it is the page's newest.
+  void PopFront();
   /// Persist an entry drop (scrub found the frame rotten) into the metadata
   /// holding `seq`, so a later restart cannot resurrect the dead copy.
   Status PersistEntryDrop(uint64_t seq);
@@ -207,6 +229,10 @@ class FaceCache final : public CacheExtension {
   void StampInto(char* dst, const char* page, PageId page_id, Lsn lsn,
                  uint64_t seq);
 
+  /// True while the frame for `seq` is still in the staging arena.
+  bool IsStaged(uint64_t seq) const {
+    return staged_count_ > 0 && seq >= staged_base_;
+  }
   /// Frame image `i` of the staging arena.
   char* StagingSlot(uint64_t i) {
     return staging_buf_.data() + static_cast<size_t>(i) * kPageSize;
@@ -241,8 +267,8 @@ class FaceCache final : public CacheExtension {
 
   /// Staged (not yet written) rear frames: seqs [staged_base_, rear_seq_),
   /// stamped frame images living contiguously in the reusable staging
-  /// arena (group_size pages; no per-frame allocation, and FlushStaging
-  /// hands the arena to the device directly).
+  /// arena (group_size pages under GR/GSC, one under FIFO; no per-frame
+  /// allocation, and FlushStaging hands the arena to the device directly).
   uint64_t staged_base_ = 0;
   uint64_t staged_count_ = 0;
   std::string staging_buf_;
@@ -256,7 +282,6 @@ class FaceCache final : public CacheExtension {
 
   std::string scratch_;      // one-page stamp/read-back staging
   std::string dequeue_buf_;  // reusable group-dequeue read buffer
-  bool in_group_replace_ = false;  // guards GSC reentrancy
   RecoveryInfo recovery_info_;
 
   /// Page-differential write-back (see delta_ring.h). Chains are keyed by

@@ -167,21 +167,10 @@ StatusOr<uint64_t> SlotStore::ReadFrame(uint32_t slot, char* out) {
 
 StatusOr<bool> SlotStore::TryDeltaRefresh(uint32_t slot, const char* page,
                                           DeltaWriteHint* hint, bool dirty) {
-  if (hint == nullptr || hint->tracker == nullptr ||
-      hint->tracker->whole_page() || hint->tracker->region_count() == 0) {
-    return false;
-  }
-  const PageId pid = slot_page_[slot];
-  const uint32_t size = PageDeltaRecord::EncodedSizeFor(*hint->tracker);
-  if (!delta_.CanAppend(pid, hint->flash_version, size)) return false;
-  auto version = delta_.Append(pid, hint->flash_version, *hint->tracker,
-                               ConstPageView(page).lsn(), dirty, page);
-  if (!version.ok()) return version.status();
+  FACE_ASSIGN_OR_RETURN(const bool appended,
+                        delta_.TryAppend(slot_page_[slot], page, dirty, hint));
   stats_->MirrorDelta(delta_.stats());
-  // kNoFlashVersion: making room consolidated this chain away.
-  if (*version == kNoFlashVersion) return false;
-  hint->new_version = *version;
-  return true;
+  return appended;
 }
 
 Status SlotStore::Rewrite(uint32_t slot, const char* page) {

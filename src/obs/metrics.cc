@@ -7,8 +7,6 @@
 
 #include "sim/scheduler.h"
 
-#if FACE_OBS_ENABLED
-
 namespace face {
 namespace obs {
 
@@ -189,5 +187,3 @@ uint64_t VirtualNow() {
 
 }  // namespace obs
 }  // namespace face
-
-#endif  // FACE_OBS_ENABLED

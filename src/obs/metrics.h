@@ -10,9 +10,6 @@
 //     across Clear() included.
 //   - Runtime-off by default: every instrumentation site is guarded by
 //     obs::Enabled(), so unconfigured runs pay one predictable branch.
-//   - Compile-out: building with -DFACE_OBS_ENABLED=0 (CMake: -DFACE_OBS=OFF)
-//     swaps every type below for a no-op stub with the identical surface;
-//     call sites compile unchanged and constant-fold away.
 //   - Perturbation-free by construction: nothing in this subsystem touches
 //     the IoScheduler, a device, or any simulated state. Instrumentation
 //     reads virtual time; it never advances it.
@@ -26,17 +23,11 @@
 
 #include "common/histogram.h"
 
-#ifndef FACE_OBS_ENABLED
-#define FACE_OBS_ENABLED 1
-#endif
-
 namespace face {
 
 class IoScheduler;
 
 namespace obs {
-
-#if FACE_OBS_ENABLED
 
 /// Monotonic event counter. Hot-path Add is one guarded add.
 struct Counter {
@@ -129,56 +120,6 @@ const IoScheduler* virtual_clock();
 /// transaction/background span, the last completion time otherwise, and 0
 /// when no clock is registered.
 uint64_t VirtualNow();
-
-#else  // !FACE_OBS_ENABLED — no-op stubs, identical surface.
-
-struct Counter {
-  static constexpr uint64_t value = 0;
-  void Add(uint64_t) {}
-  void Increment() {}
-};
-
-struct Gauge {
-  static constexpr int64_t value = 0;
-  void Set(int64_t) {}
-  void Add(int64_t) {}
-};
-
-struct Hist {
-  void Add(uint64_t) {}
-  void Clear() {}
-  uint64_t count() const { return 0; }
-};
-
-constexpr bool Enabled() { return false; }
-inline void SetEnabled(bool) {}
-
-class MetricsRegistry {
- public:
-  static MetricsRegistry& Instance() {
-    static MetricsRegistry r;
-    return r;
-  }
-  Counter* GetCounter(const std::string&) { return &counter_; }
-  Gauge* GetGauge(const std::string&) { return &gauge_; }
-  Hist* GetHistogram(const std::string&) { return &hist_; }
-  void Clear() {}
-  std::string ToJson() const { return "{}"; }
-  std::string ToText() const { return std::string(); }
-  static std::string MergedToJson() { return "{}"; }
-  static std::string MergedToText() { return std::string(); }
-
- private:
-  Counter counter_;
-  Gauge gauge_;
-  Hist hist_;
-};
-
-inline void SetVirtualClock(const IoScheduler*) {}
-inline const IoScheduler* virtual_clock() { return nullptr; }
-inline uint64_t VirtualNow() { return 0; }
-
-#endif  // FACE_OBS_ENABLED
 
 }  // namespace obs
 }  // namespace face

@@ -8,8 +8,6 @@
 #include <mutex>
 #include <vector>
 
-#if FACE_OBS_ENABLED
-
 namespace face {
 namespace obs {
 
@@ -155,5 +153,3 @@ Status Tracer::WriteChromeTrace(const std::string& path) const {
 
 }  // namespace obs
 }  // namespace face
-
-#endif  // FACE_OBS_ENABLED

@@ -7,8 +7,7 @@
 //
 // Like the metrics registry, the tracer only ever *reads* clocks — spans
 // charge zero virtual time, so traced and untraced runs simulate
-// identically. Compile-out mirrors metrics.h: -DFACE_OBS_ENABLED=0 turns
-// ScopedSpan into an empty object.
+// identically.
 #pragma once
 
 #include <cstdint>
@@ -21,8 +20,6 @@
 
 namespace face {
 namespace obs {
-
-#if FACE_OBS_ENABLED
 
 /// Host monotonic clock, nanoseconds (std::chrono::steady_clock).
 uint64_t HostNowNs();
@@ -133,37 +130,6 @@ class ScopedSpan {
   uint64_t v_start_ = 0;
   uint64_t host_start_ = 0;
 };
-
-#else  // !FACE_OBS_ENABLED — no-op stubs, identical surface.
-
-inline uint64_t HostNowNs() { return 0; }
-
-class Tracer {
- public:
-  static Tracer& Instance() {
-    static Tracer t;
-    return t;
-  }
-  void SetEnabled(bool) {}
-  bool enabled() const { return false; }
-  void SetThreadLabel(const std::string&) {}
-  const char* Intern(const std::string&) { return ""; }
-  void Clear() {}
-  size_t span_count() const { return 0; }
-  size_t dropped() const { return 0; }
-  Status WriteChromeTrace(const std::string&) const {
-    return Status::NotSupported("tracing compiled out (FACE_OBS=OFF)");
-  }
-};
-
-class ScopedSpan {
- public:
-  ScopedSpan(const char*, const char*) {}
-  ScopedSpan(const char*, const char*, bool) {}
-  void End() {}
-};
-
-#endif  // FACE_OBS_ENABLED
 
 }  // namespace obs
 }  // namespace face

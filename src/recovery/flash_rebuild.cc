@@ -1,11 +1,10 @@
 #include "recovery/flash_rebuild.h"
 
 #include <algorithm>
-#include <cstring>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "storage/page.h"
+#include "recovery/restart.h"
 
 namespace face {
 
@@ -37,28 +36,9 @@ StatusOr<FlashRebuildReport> FlashRebuild::Rebuild(
     return it != lost.end() && it->page_id == pid;
   };
 
-  LogReader reader(log_->device());
-  FACE_RETURN_IF_ERROR(reader.Seek(floor));
-  while (true) {
-    auto rec_or = reader.Next();
-    if (!rec_or.ok()) break;  // end of the valid log
-    const LogRecord& rec = rec_or.value();
-    if (rec.type != LogRecordType::kUpdate &&
-        rec.type != LogRecordType::kClr) {
-      continue;
-    }
-    if (!is_target(rec.page_id)) continue;
-    ++report.records_scanned;
-    storage_->ObservePage(rec.page_id);
-    FACE_ASSIGN_OR_RETURN(PageHandle page,
-                          pool_->FetchPageForRedo(rec.page_id));
-    // pageLSN test: the effect is already present iff pageLSN >= rec LSN.
-    if (page.view().lsn() >= rec.lsn) continue;
-    memcpy(page.data() + rec.offset, rec.after.data(), rec.after.size());
-    page.MarkDirtyRange(rec.lsn, rec.offset,
-                        static_cast<uint32_t>(rec.after.size()));
-    ++report.records_applied;
-  }
+  FACE_RETURN_IF_ERROR(RedoFrom(log_, pool_, storage_, floor, is_target,
+                                &report.records_scanned,
+                                &report.records_applied));
 
   // The reconstructed tips become durable at their home location: after
   // this, disk alone carries every committed version the flash held.

@@ -11,9 +11,9 @@
 // This component reruns ARIES redo on the LIVE engine, scoped to exactly
 // that lost set: one sequential WAL scan from the minimum floor, applying
 // update/CLR records for target pages under the usual pageLSN test, then
-// writing the rebuilt pages to their durable home on disk. It deliberately
-// mirrors RestartManager::Redo — same reader, same idempotence rule — so
-// the crash path and the degrade path cannot drift apart.
+// writing the rebuilt pages to their durable home on disk. The scan is
+// RedoFrom (recovery/restart.h), the same code restart's redo phase runs,
+// so the crash path and the degrade path cannot drift apart.
 //
 // Caller contract (see Testbed::DegradeToDiskOnly): the cache must already
 // be degraded (page fetches go to disk, admissions are off), the WAL must

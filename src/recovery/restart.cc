@@ -158,7 +158,9 @@ Status RestartManager::RunPhases(RestartReport* report) {
   }
   {
     obs::ScopedSpan span("recovery", "redo");
-    FACE_RETURN_IF_ERROR(Redo(report, redo_lsn));
+    FACE_RETURN_IF_ERROR(RedoFrom(log_, pool_, storage_, redo_lsn, nullptr,
+                                  &report->redo_records,
+                                  &report->redo_applied));
   }
   const SimNanos t_redo = SpanTime();
   report->redo_ns = t_redo - t_ana;
@@ -242,27 +244,29 @@ Status RestartManager::Analysis(RestartReport* report, Lsn ckpt_lsn,
   return Status::OK();
 }
 
-Status RestartManager::Redo(RestartReport* report, Lsn redo_lsn) {
-  LogReader reader(log_->device());
-  FACE_RETURN_IF_ERROR(reader.Seek(redo_lsn));
+Status RedoFrom(LogManager* log, BufferPool* pool, DbStorage* storage,
+                Lsn from, const std::function<bool(PageId)>& wanted,
+                uint64_t* scanned, uint64_t* applied) {
+  LogReader reader(log->device());
+  FACE_RETURN_IF_ERROR(reader.Seek(from));
   while (true) {
     auto rec_or = reader.Next();
-    if (!rec_or.ok()) break;
+    if (!rec_or.ok()) break;  // end of the valid log
     const LogRecord& rec = rec_or.value();
     if (rec.type != LogRecordType::kUpdate &&
         rec.type != LogRecordType::kClr) {
       continue;
     }
-    ++report->redo_records;
-    storage_->ObservePage(rec.page_id);
-    FACE_ASSIGN_OR_RETURN(PageHandle page,
-                          pool_->FetchPageForRedo(rec.page_id));
+    if (wanted && !wanted(rec.page_id)) continue;
+    ++*scanned;
+    storage->ObservePage(rec.page_id);
+    FACE_ASSIGN_OR_RETURN(PageHandle page, pool->FetchPageForRedo(rec.page_id));
     // pageLSN test: the effect is already present iff pageLSN >= rec LSN.
     if (page.view().lsn() >= rec.lsn) continue;
     memcpy(page.data() + rec.offset, rec.after.data(), rec.after.size());
     page.MarkDirtyRange(rec.lsn, rec.offset,
                         static_cast<uint32_t>(rec.after.size()));
-    ++report->redo_applied;
+    ++*applied;
   }
   return Status::OK();
 }

@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
 
@@ -66,6 +67,15 @@ struct RestartReport {
   std::string ToString() const;
 };
 
+/// ARIES redo: one scan from `from` to the end of the durable log. Every
+/// update/CLR record whose page passes `wanted` (every page when empty)
+/// counts in *scanned and is re-applied through `pool` unless the page's
+/// LSN shows its effect is already there (counted in *applied). The one
+/// redo loop of both restart and the flash-loss rebuild.
+Status RedoFrom(LogManager* log, BufferPool* pool, DbStorage* storage,
+                Lsn from, const std::function<bool(PageId)>& wanted,
+                uint64_t* scanned, uint64_t* applied);
+
 /// Restart orchestrator; see file comment. Construct over *fresh* DRAM
 /// structures (buffer pool, transaction manager) and *surviving* devices.
 class RestartManager {
@@ -87,7 +97,6 @@ class RestartManager {
   Status RunPhases(RestartReport* report);
   Status Analysis(RestartReport* report, Lsn ckpt_lsn,
                   std::map<TxnId, Lsn>* losers);
-  Status Redo(RestartReport* report, Lsn redo_lsn);
   Status Undo(RestartReport* report, std::map<TxnId, Lsn>* losers);
 
   /// Current virtual time of the active recovery span (0 without sched).

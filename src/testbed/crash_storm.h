@@ -28,7 +28,7 @@ namespace face {
 
 /// Accumulates per-phase recovery durations across a storm campaign, one
 /// RestartReport per seed. Derived from the reports directly (not the obs
-/// registry), so the aggregate works with observability compiled out.
+/// registry), so the aggregate works with observability off.
 struct RecoveryPhaseAggregate {
   Histogram attach_us, meta_restore_us, analysis_us, redo_us, undo_us,
       checkpoint_us, total_us;

@@ -282,7 +282,7 @@ class Testbed {
 
   /// Snapshot of the observability registry: the metrics JSON object when
   /// `as_json`, a human-readable name = value listing otherwise. Empty-ish
-  /// ("{}" / "") when obs is disabled or compiled out.
+  /// ("{}" / "") when obs is disabled.
   std::string DumpStats(bool as_json = false) const;
 
   /// Attach a trace recorder: Run() batches report every buffer-pool page
@@ -329,7 +329,7 @@ class Testbed {
 
   /// Per-transaction-type latency histograms, indexed by the workload's
   /// type index ("testbed.txn_latency_ns.<type>"). Rebuilt on every
-  /// workload bind; null handles while obs is compiled out or unbound.
+  /// workload bind; empty until the first.
   std::vector<obs::Hist*> txn_lat_;
 
   SimNanos last_ckpt_time_ = 0;

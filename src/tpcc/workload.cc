@@ -8,6 +8,13 @@
 namespace face {
 namespace tpcc {
 
+// §5.2.3 standard mix (percent of transactions); Stock-Level takes the
+// remaining 4 %.
+constexpr int kPctNewOrder = 45;
+constexpr int kPctPayment = 43;
+constexpr int kPctOrderStatus = 4;
+constexpr int kPctDelivery = 4;
+
 const char* TxnTypeName(TxnType type) {
   switch (type) {
     case TxnType::kNewOrder: return "NewOrder";
@@ -34,18 +41,17 @@ StatusOr<TxnType> Workload::RunOne() {
 
   TxnType type;
   Status s;
-  if (roll < config_.pct_new_order) {
+  if (roll < kPctNewOrder) {
     type = TxnType::kNewOrder;
     s = NewOrder(w_id);
-  } else if (roll < config_.pct_new_order + config_.pct_payment) {
+  } else if (roll < kPctNewOrder + kPctPayment) {
     type = TxnType::kPayment;
     s = Payment(w_id);
-  } else if (roll < config_.pct_new_order + config_.pct_payment +
-                        config_.pct_order_status) {
+  } else if (roll < kPctNewOrder + kPctPayment + kPctOrderStatus) {
     type = TxnType::kOrderStatus;
     s = OrderStatus(w_id);
-  } else if (roll < config_.pct_new_order + config_.pct_payment +
-                        config_.pct_order_status + config_.pct_delivery) {
+  } else if (roll <
+             kPctNewOrder + kPctPayment + kPctOrderStatus + kPctDelivery) {
     type = TxnType::kDelivery;
     s = Delivery(w_id);
   } else {

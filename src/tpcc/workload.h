@@ -31,15 +31,9 @@ enum class TxnType : uint8_t {
 /// Printable transaction-type name.
 const char* TxnTypeName(TxnType type);
 
-/// Mix weights and workload shape.
+/// Workload shape (the transaction mix is fixed; see workload.cc).
 struct WorkloadConfig {
   uint32_t warehouses = 1;
-  /// §5.2.3 standard mix (percent). Must sum to 100.
-  int pct_new_order = 45;
-  int pct_payment = 43;
-  int pct_order_status = 4;
-  int pct_delivery = 4;
-  int pct_stock_level = 4;
   uint64_t seed = 42;
 };
 

@@ -197,6 +197,31 @@ TEST_F(FaceCacheTest, GscPullsVictimsToFillBatches) {
   FACE_ASSERT_OK(cache_->CheckInvariants());
 }
 
+TEST_F(FaceCacheTest, GscWriteThroughAlsoWritesPulledVictims) {
+  // Write-through holds for every dirty page entering the cache, pulled
+  // DRAM victims included: none may live only on flash.
+  FaceOptions gsc = FaceOptions::GroupSecondChance(32);
+  gsc.group_size = 8;
+  gsc.write_through = true;
+  Init(gsc);
+  FakePullSource pull(1000);
+  cache_->SetPullSource(&pull);
+  for (PageId p = 0; p < 32; ++p) FACE_ASSERT_OK(Evict(p, true, true));
+  pull.Stock(6);
+  FACE_ASSERT_OK(Evict(100, true, true));  // replacement pulls to fill
+  ASSERT_GT(pull.pulled, 0u);
+  std::vector<FlashOnlyPage> flash_only;
+  cache_->CollectFlashOnlyDirty(&flash_only);
+  EXPECT_TRUE(flash_only.empty())
+      << flash_only.size() << " pages live only on flash";
+  std::string out(kPageSize, '\0');
+  for (PageId p = 1000; p < 1000 + pull.pulled; ++p) {
+    FACE_ASSERT_OK(storage_->ReadPage(p, out.data()));
+    EXPECT_EQ(ConstPageView(out.data()).page_id(), p);
+  }
+  FACE_ASSERT_OK(cache_->CheckInvariants());
+}
+
 TEST_F(FaceCacheTest, MetadataSegmentsFlushOnCadence) {
   FaceOptions o = FaceOptions::Base(64);
   o.seg_entries = 16;
@@ -329,7 +354,7 @@ TEST_F(FaceCacheTest, CleanOnlyAblationInvalidatesStaleFlashCopy) {
 // invariants and never loses the newest version of a page.
 struct FaceFlavor {
   const char* name;
-  bool gr, gsc;
+  FaceOptions::Replacement replacement;
 };
 
 class FaceCacheProperty : public FaceCacheTest,
@@ -337,8 +362,7 @@ class FaceCacheProperty : public FaceCacheTest,
 
 TEST_P(FaceCacheProperty, RandomTrafficKeepsNewestVersionReachable) {
   FaceOptions o = FaceOptions::Base(48);
-  o.group_replace = GetParam().gr;
-  o.second_chance = GetParam().gsc;
+  o.replacement = GetParam().replacement;
   o.group_size = 8;
   o.seg_entries = 16;
   Init(o);
@@ -375,9 +399,10 @@ TEST_P(FaceCacheProperty, RandomTrafficKeepsNewestVersionReachable) {
 
 INSTANTIATE_TEST_SUITE_P(
     Flavors, FaceCacheProperty,
-    ::testing::Values(FaceFlavor{"base", false, false},
-                      FaceFlavor{"GR", true, false},
-                      FaceFlavor{"GSC", true, true}),
+    ::testing::Values(
+        FaceFlavor{"base", FaceOptions::Replacement::kFifo},
+        FaceFlavor{"GR", FaceOptions::Replacement::kGroup},
+        FaceFlavor{"GSC", FaceOptions::Replacement::kGroupSecondChance}),
     [](const ::testing::TestParamInfo<FaceFlavor>& pinfo) {
       return pinfo.param.name;
     });

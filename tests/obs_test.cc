@@ -34,8 +34,6 @@ struct ObsGuard {
   }
 };
 
-#if FACE_OBS_ENABLED
-
 TEST(MetricsRegistryTest, HandlesAreStableAcrossClear) {
   ObsGuard guard;
   auto& reg = obs::MetricsRegistry::Instance();
@@ -111,8 +109,6 @@ TEST(TracerTest, DisabledTracerRecordsNothing) {
   EXPECT_EQ(obs::Tracer::Instance().span_count(), 0u);
 }
 
-#endif  // FACE_OBS_ENABLED
-
 TEST(ObsPerturbationTest, EnabledObsReproducesGoldenFingerprint) {
   // The ycsb-zipfian / FaCE+GSC timing-guard cell, byte-identical setup to
   // timing_guard_test.cc, but with metrics and tracing fully on. Any
@@ -152,7 +148,6 @@ TEST(ObsPerturbationTest, EnabledObsReproducesGoldenFingerprint) {
   EXPECT_EQ(r.flash_stats.total_pages(), 201u);
   EXPECT_EQ(r.log_stats.total_pages(), 232u);
 
-#if FACE_OBS_ENABLED
   // The run must also have actually observed something — a silently inert
   // subsystem would make this guard vacuous.
   auto& reg = obs::MetricsRegistry::Instance();
@@ -163,7 +158,6 @@ TEST(ObsPerturbationTest, EnabledObsReproducesGoldenFingerprint) {
   EXPECT_GT(obs::Tracer::Instance().span_count(), 0u);
   const std::string text = tb.DumpStats();
   EXPECT_NE(text.find("buffer.fetches"), std::string::npos);
-#endif
 }
 
 }  // namespace
