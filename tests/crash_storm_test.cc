@@ -234,8 +234,11 @@ class DegradedRig {
  public:
   void Build(CachePolicy policy, uint64_t seed, SimNanos scrub_interval = 0) {
     fault::ShadowKvOptions wo;
-    wo.records = 1200;   // working set must overflow the 64 DRAM frames,
-    wo.value_bytes = 160;  // or no flash traffic ever happens
+    // 3,000 rows of 160 B span several hundred pages: the working set
+    // overflows the 64 DRAM frames many times over, so warmup already
+    // evicts to flash (FaCE: ~220 evictions, ~270 flash page I/Os).
+    wo.records = 3000;
+    wo.value_bytes = 160;
     shadow_ = std::make_shared<fault::ShadowState>();
     factory_ = std::make_shared<fault::ShadowKvFactory>(wo, shadow_);
     shadow_->Reset(wo.records, wo.value_bytes);
@@ -248,6 +251,9 @@ class DegradedRig {
     to.buffer_frames = 64;  // small on purpose: evictions drive flash
     to.flash_pages = 512;
     to.seg_entries = 256;
+    // GSC stages a whole group before it writes; at the default 64 the
+    // staging arena would hold the entire spill and never reach the device.
+    to.group_size = 8;
     to.policy = policy;
     to.scrub_interval = scrub_interval;
     tb_ = std::make_unique<Testbed>(to, &golden_);
@@ -338,8 +344,9 @@ void RunFlashLossScenario(CachePolicy policy, uint64_t seed,
 }
 
 TEST(DegradedModeTest, FlashLossMidRunKeepsEveryCommittedRow) {
-  const CachePolicy policies[] = {CachePolicy::kFace, CachePolicy::kLc,
-                                  CachePolicy::kTac, CachePolicy::kExadata};
+  const CachePolicy policies[] = {CachePolicy::kFace, CachePolicy::kFaceGSC,
+                                  CachePolicy::kLc, CachePolicy::kTac,
+                                  CachePolicy::kExadata};
   for (CachePolicy policy : policies) {
     SCOPED_TRACE(CachePolicyName(policy));
     // Same seed twice: the post-degradation fingerprint must reproduce
@@ -354,8 +361,9 @@ TEST(DegradedModeTest, FlashLossMidRunKeepsEveryCommittedRow) {
 }
 
 TEST(DegradedModeTest, CrashWhileDegradedRecoversDiskOnly) {
-  const CachePolicy policies[] = {CachePolicy::kFace, CachePolicy::kLc,
-                                  CachePolicy::kTac, CachePolicy::kExadata};
+  const CachePolicy policies[] = {CachePolicy::kFace, CachePolicy::kFaceGSC,
+                                  CachePolicy::kLc, CachePolicy::kTac,
+                                  CachePolicy::kExadata};
   for (CachePolicy policy : policies) {
     SCOPED_TRACE(CachePolicyName(policy));
     DegradedRig rig;
@@ -440,8 +448,9 @@ TEST(DegradedModeTest, ScrubRepairsBitRotThenSurvivesACrash) {
   // every rotten frame (clean frames re-read from disk, dirty frames
   // rebuilt from the WAL) before any of it is served, and a crash after
   // the repairs must still recover the exact committed history.
-  const CachePolicy policies[] = {CachePolicy::kFace, CachePolicy::kLc,
-                                  CachePolicy::kTac, CachePolicy::kExadata};
+  const CachePolicy policies[] = {CachePolicy::kFace, CachePolicy::kFaceGSC,
+                                  CachePolicy::kLc, CachePolicy::kTac,
+                                  CachePolicy::kExadata};
   for (CachePolicy policy : policies) {
     SCOPED_TRACE(CachePolicyName(policy));
     DegradedRig rig;
@@ -453,13 +462,15 @@ TEST(DegradedModeTest, ScrubRepairsBitRotThenSurvivesACrash) {
     FACE_ASSERT_OK(tb.Run(warm).status());
 
     // Rot every third frame block (same geometry the testbed provisioned):
-    // FaCE frames sit past its metadata regions, TAC's past its slot
-    // directory, LC's and Exadata's start at block 0.
+    // FaCE's frames (every flavor) sit past its metadata regions, TAC's
+    // past its slot directory, LC's and Exadata's start at block 0.
     constexpr uint64_t kFrames = 512;
     const FlashLayout lay = FlashLayout::Compute(kFrames, 256);
     for (uint64_t i = 0; i < kFrames; i += 3) {
       uint64_t block = i;
-      if (policy == CachePolicy::kFace) block = lay.FrameBlock(i);
+      if (policy == CachePolicy::kFace || policy == CachePolicy::kFaceGSC) {
+        block = lay.FrameBlock(i);
+      }
       if (policy == CachePolicy::kTac) {
         block = TacCache::DirBlocksFor(kFrames) + i;
       }
@@ -512,8 +523,9 @@ TEST(DegradedModeTest, BackgroundScrubberWalksIdleFramesInVirtualTime) {
 }
 
 TEST(DegradedModeTest, ReattachedFlashRewarmsThroughNormalAdmission) {
-  const CachePolicy policies[] = {CachePolicy::kFace, CachePolicy::kLc,
-                                  CachePolicy::kTac, CachePolicy::kExadata};
+  const CachePolicy policies[] = {CachePolicy::kFace, CachePolicy::kFaceGSC,
+                                  CachePolicy::kLc, CachePolicy::kTac,
+                                  CachePolicy::kExadata};
   for (CachePolicy policy : policies) {
     SCOPED_TRACE(CachePolicyName(policy));
     DegradedRig rig;
