@@ -224,7 +224,7 @@ class CacheExtension {
   virtual void MarkDegradedAtRestart() { degraded_ = true; }
 
   /// Append every page whose newest version lives only on flash, with its
-  /// WAL rebuild floor, sorted by page id. Empty for write-through and
+  /// WAL rebuild floor, in any order. Empty for write-through and
   /// non-persistent policies (their flash never outruns the disk copy for
   /// longer than a checkpoint interval — see FlashRedoFloor).
   virtual void CollectFlashOnlyDirty(std::vector<FlashOnlyPage>* out) const {

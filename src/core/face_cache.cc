@@ -781,14 +781,9 @@ Status FaceCache::EnterDegraded() {
 }
 
 void FaceCache::CollectFlashOnlyDirty(std::vector<FlashOnlyPage>* out) const {
-  const size_t base = out->size();
   dirty_since_.ForEach([&](PageId pid, const Lsn& since) {
     out->push_back(FlashOnlyPage{pid, since});
   });
-  std::sort(out->begin() + base, out->end(),
-            [](const FlashOnlyPage& a, const FlashOnlyPage& b) {
-              return a.page_id < b.page_id;
-            });
 }
 
 Lsn FaceCache::FlashRedoFloor() const {

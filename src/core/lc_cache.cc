@@ -168,16 +168,11 @@ Status LcCache::EnterDegraded() {
 }
 
 void LcCache::CollectFlashOnlyDirty(std::vector<FlashOnlyPage>* out) const {
-  const size_t base = out->size();
   store_.ForEachPage([&](uint32_t slot, PageId page_id) {
     if (meta_[slot].dirty) {
       out->push_back(FlashOnlyPage{page_id, meta_[slot].rec_lsn});
     }
   });
-  std::sort(out->begin() + base, out->end(),
-            [](const FlashOnlyPage& a, const FlashOnlyPage& b) {
-              return a.page_id < b.page_id;
-            });
 }
 
 Lsn LcCache::FlashRedoFloor() const {

@@ -28,12 +28,15 @@ StatusOr<FlashRebuildReport> FlashRebuild::Rebuild(
   }
   report.floor = floor;
 
-  // `lost` is sorted by page id: membership is a binary search.
-  auto is_target = [&lost](PageId pid) {
-    auto it = std::lower_bound(
-        lost.begin(), lost.end(), pid,
-        [](const FlashOnlyPage& a, PageId b) { return a.page_id < b; });
-    return it != lost.end() && it->page_id == pid;
+  // Membership is a binary search over the page ids, sorted here: callers
+  // hand the set over in whatever order they collected it (the scrubber in
+  // walk order).
+  std::vector<PageId> ids;
+  ids.reserve(lost.size());
+  for (const FlashOnlyPage& p : lost) ids.push_back(p.page_id);
+  std::sort(ids.begin(), ids.end());
+  auto is_target = [&ids](PageId pid) {
+    return std::binary_search(ids.begin(), ids.end(), pid);
   };
 
   FACE_RETURN_IF_ERROR(RedoFrom(log_, pool_, storage_, floor, is_target,
@@ -42,9 +45,6 @@ StatusOr<FlashRebuildReport> FlashRebuild::Rebuild(
 
   // The reconstructed tips become durable at their home location: after
   // this, disk alone carries every committed version the flash held.
-  std::vector<PageId> ids;
-  ids.reserve(lost.size());
-  for (const FlashOnlyPage& p : lost) ids.push_back(p.page_id);
   FACE_RETURN_IF_ERROR(pool_->FlushPagesToDisk(ids));
   report.pages_written = lost.size();
 

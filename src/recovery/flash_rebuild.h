@@ -15,12 +15,13 @@
 // RedoFrom (recovery/restart.h), the same code restart's redo phase runs,
 // so the crash path and the degrade path cannot drift apart.
 //
-// Caller contract (see Testbed::DegradeToDiskOnly): the cache must already
-// be degraded (page fetches go to disk, admissions are off), the WAL must
-// not have been truncated above the floor (the checkpointer holds it down
-// via CacheExtension::FlashRedoFloor), and stranded-transaction rollback
-// must run AFTER the rebuild — rollback applies before-images to the page
-// tips this redo reconstructs.
+// Caller contract (see Testbed::DegradeToDiskOnly and Testbed::ScrubPass):
+// no cache may still serve the lost pages — after a flash loss the buffer
+// pool is disk-only, and the scrubber has already dropped every page it
+// reports — the WAL must not have been truncated above the floor (the
+// checkpointer holds it down via CacheExtension::FlashRedoFloor), and
+// stranded-transaction rollback must run AFTER the rebuild — rollback
+// applies before-images to the page tips this redo reconstructs.
 #pragma once
 
 #include <cstdint>
@@ -50,8 +51,8 @@ class FlashRebuild {
   FlashRebuild(LogManager* log, BufferPool* pool, DbStorage* storage)
       : log_(log), pool_(pool), storage_(storage) {}
 
-  /// Reconstruct `lost` (sorted by page id, as CollectFlashOnlyDirty
-  /// emits it) from the WAL and write the results to disk. Entries whose
+  /// Reconstruct `lost` (any order) from the WAL and write the results to
+  /// disk in ascending page order. Entries whose
   /// redo_lsn is kInvalidLsn scan from `fallback_floor` (the restored
   /// control block's rebuild_floor, or the last checkpoint); if that is
   /// also invalid, from the start of the log.
