@@ -99,7 +99,8 @@ void PageHandle::Release() {
 
 BufferPool::BufferPool(uint32_t capacity_frames, DbStorage* storage,
                        LogManager* log, CacheExtension* cache)
-    : frames_(capacity_frames), storage_(storage), log_(log), cache_(cache) {
+    : frames_(capacity_frames), storage_(storage), log_(log),
+      disk_only_(storage), cache_(cache) {
   assert(capacity_frames >= 8);
   table_.Reserve(capacity_frames);  // steady state never rehashes
   free_list_.reserve(capacity_frames);
@@ -111,6 +112,12 @@ BufferPool::BufferPool(uint32_t capacity_frames, DbStorage* storage,
 }
 
 BufferPool::~BufferPool() { cache_->SetPullSource(nullptr); }
+
+void BufferPool::SwitchCache(CacheExtension* cache) {
+  cache_->SetPullSource(nullptr);
+  cache_ = cache != nullptr ? cache : &disk_only_;
+  cache_->SetPullSource(this);
+}
 
 StatusOr<PageHandle> BufferPool::FetchPage(PageId page_id) {
   ++stats_.fetches;
@@ -131,10 +138,7 @@ StatusOr<PageHandle> BufferPool::FetchPage(PageId page_id) {
   FACE_ASSIGN_OR_RETURN(uint32_t frame, GetFreeFrame());
   Frame& f = frames_[frame];
 
-  // While degraded the flash device is gone: no probes, no admissions —
-  // the policy is treated exactly like NullCache until ReattachFlash.
-  const bool degraded = cache_->degraded();
-  const bool flash_hit = !degraded && cache_->Contains(page_id);
+  const bool flash_hit = cache_->Contains(page_id);
   cache_->RecordProbe(flash_hit);
   if (flash_hit) {
     auto read = cache_->ReadPage(page_id, f.data.get());
@@ -166,10 +170,8 @@ StatusOr<PageHandle> BufferPool::FetchPage(PageId page_id) {
     f.fdirty = false;
     f.rec_lsn = kInvalidLsn;
     uint64_t admitted = kNoFlashVersion;
-    if (!degraded) {
-      FACE_RETURN_IF_ERROR(
-          cache_->OnFetchFromDisk(page_id, f.data.get(), &admitted));
-    }
+    FACE_RETURN_IF_ERROR(
+        cache_->OnFetchFromDisk(page_id, f.data.get(), &admitted));
     f.flash_version = admitted;  // on-entry policies admit a delta base here
     f.tracker.Reset();
   }
@@ -262,20 +264,14 @@ Status BufferPool::EvictFrame(uint32_t frame) {
     FACE_RETURN_IF_ERROR(log_->FlushTo(PageView(f.data.get()).lsn()));
   }
   table_.Erase(f.page_id);
-  Status s;
-  if (cache_->degraded()) {
-    // Disk-only service: dirty pages go straight to their durable home.
-    if (f.dirty) s = storage_->WritePage(f.page_id, f.data.get());
-  } else {
-    DeltaWriteHint hint{&f.tracker, f.flash_version, kNoFlashVersion};
-    s = cache_->OnDramEvict(f.page_id, f.data.get(), f.dirty, f.fdirty,
-                            f.rec_lsn, &hint);
-    if (!s.ok() && f.dirty) {
-      // The cache refused mid-eviction (flash failure) and this frame may
-      // hold the only current copy. Rescue it to disk before the frame is
-      // recycled; the original error still surfaces for supervision.
-      (void)storage_->WritePage(f.page_id, f.data.get());
-    }
+  DeltaWriteHint hint{&f.tracker, f.flash_version, kNoFlashVersion};
+  const Status s = cache_->OnDramEvict(f.page_id, f.data.get(), f.dirty,
+                                       f.fdirty, f.rec_lsn, &hint);
+  if (!s.ok() && f.dirty) {
+    // The cache refused mid-eviction (flash failure) and this frame may
+    // hold the only current copy. Rescue it to disk before the frame is
+    // recycled; the original error still surfaces for supervision.
+    (void)storage_->WritePage(f.page_id, f.data.get());
   }
   f.in_use = false;
   f.page_id = kInvalidPageId;
@@ -433,18 +429,15 @@ Status BufferPool::SyncDirtyPagesForCheckpoint() {
     Frame& f = frames_[*slot];
     if (!PersistentlyDirty(f)) continue;
     ++synced;
-    bool absorbed = false;
-    if (!cache_->degraded()) {
-      DeltaWriteHint hint{&f.tracker, f.flash_version, kNoFlashVersion};
-      FACE_ASSIGN_OR_RETURN(
-          absorbed,
-          cache_->CheckpointPage(page_id, f.data.get(), f.rec_lsn, &hint));
-      if (absorbed) f.flash_version = hint.new_version;
-    }
+    DeltaWriteHint hint{&f.tracker, f.flash_version, kNoFlashVersion};
+    FACE_ASSIGN_OR_RETURN(
+        const bool absorbed,
+        cache_->CheckpointPage(page_id, f.data.get(), f.rec_lsn, &hint));
     if (absorbed) {
       // Flash now holds the current copy persistently; still newer than
       // disk. The frame stays resident and equals the just-absorbed flash
-      // state (flash_version above): later mutations may delta against it.
+      // state: later mutations may delta against it.
+      f.flash_version = hint.new_version;
       f.fdirty = false;
       f.rec_lsn = kInvalidLsn;
       f.tracker.Reset();

@@ -2,8 +2,10 @@
 // of FaCE §3.3:
 //   dirty  — page is newer than its disk copy
 //   fdirty — page is newer than its flash-cache copy (or has none)
-// On eviction, the page is handed to the configured CacheExtension, which
-// decides among flash enqueue, disk write, or discard. WAL-before-data is
+// On eviction, the page is handed to the active CacheExtension, which
+// decides among flash enqueue, disk write, or discard. The pool is the one
+// holder of that pointer: the policy it was built with, or — after a flash
+// loss — the NullCache it owns, which serves disk-only. WAL-before-data is
 // enforced here: the log is forced through the page's LSN before any dirty
 // page leaves the buffer.
 #pragma once
@@ -88,9 +90,34 @@ class BufferPool final : public DramPullSource {
     uint64_t dirty_evictions = 0;
     uint64_t new_pages = 0;
     uint64_t pulls = 0;          ///< victims pulled by the cache (GSC)
+
+    Stats& operator+=(const Stats& o) {
+      return Zip(o, [](uint64_t& a, uint64_t b) { a += b; });
+    }
+    Stats& operator-=(const Stats& o) {
+      return Zip(o, [](uint64_t& a, uint64_t b) { a -= b; });
+    }
+
+   private:
+    /// op(mine, theirs) over every counter: the one field list += and -=
+    /// share, so no counter can be summed but not subtracted.
+    template <typename Op>
+    Stats& Zip(const Stats& o, Op op) {
+      op(fetches, o.fetches);
+      op(hits, o.hits);
+      op(misses, o.misses);
+      op(disk_fetches, o.disk_fetches);
+      op(flash_fetches, o.flash_fetches);
+      op(evictions, o.evictions);
+      op(dirty_evictions, o.dirty_evictions);
+      op(new_pages, o.new_pages);
+      op(pulls, o.pulls);
+      return *this;
+    }
   };
 
-  /// `capacity_frames` pages of DRAM. All pointers must outlive the pool.
+  /// `capacity_frames` pages of DRAM, served through `cache` until
+  /// SwitchCache. All pointers must outlive the pool (or the switch).
   BufferPool(uint32_t capacity_frames, DbStorage* storage, LogManager* log,
              CacheExtension* cache);
   ~BufferPool() override;
@@ -146,7 +173,15 @@ class BufferPool final : public DramPullSource {
   void ResetStats() { stats_ = Stats(); }
   uint32_t capacity() const { return static_cast<uint32_t>(frames_.size()); }
   uint32_t pages_in_pool() const { return static_cast<uint32_t>(table_.size()); }
+  /// The active cache: every miss, eviction and checkpoint offer goes here.
   CacheExtension* cache() { return cache_; }
+
+  /// Serve through `cache` from now on (the GSC pull source moves with it);
+  /// null = disk-only through the pool's own NullCache. The outgoing cache
+  /// is not called again, so the caller may destroy it.
+  void SwitchCache(CacheExtension* cache);
+  /// True while the pool serves disk-only after a flash loss.
+  bool disk_only() const { return cache_ == &disk_only_; }
 
   /// Number of currently pinned frames (test hook).
   uint32_t pinned_frames() const;
@@ -196,6 +231,7 @@ class BufferPool final : public DramPullSource {
 
   DbStorage* storage_;
   LogManager* log_;
+  NullCache disk_only_;
   CacheExtension* cache_;
   PageTraceSink* trace_ = nullptr;
   Stats stats_;

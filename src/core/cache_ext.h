@@ -9,7 +9,15 @@
 //   - ReadPage        : DRAM miss served from flash
 //   - CheckpointPage / PrepareCheckpoint / OnCheckpoint : database
 //     checkpoint integration (who absorbs dirty pages, who must flush)
+//   - Format            : first start on a blank (erased) device
 //   - RecoverAfterCrash : restart-time metadata restore (or cold reset)
+//   - CollectFlashOnlyDirty / FlashRedoFloor / ScrubSome : the durability
+//     exposure a persistent write-back policy creates, for WAL rebuild
+//
+// A policy implements no fault mode. When its flash device is lost, the
+// buffer pool switches to the NullCache it owns (the paper's HDD-only
+// configuration) and the policy object is dropped without another call; a
+// re-attached device gets a freshly constructed, Formatted policy.
 #pragma once
 
 #include <cstdint>
@@ -38,8 +46,8 @@ class DramPullSource {
 
 /// A page whose newest committed version lives only on the flash cache —
 /// the durability exposure FaCE's persistent write-back creates. Collected
-/// at degradation time (and by the scrubber for unrepairable dirty frames)
-/// so targeted WAL redo can rebuild the disk copy.
+/// when the flash device is lost (and by the scrubber for unrepairable
+/// dirty frames) so targeted WAL redo can rebuild the disk copy.
 struct FlashOnlyPage {
   PageId page_id = kInvalidPageId;
   Lsn redo_lsn = kInvalidLsn;  ///< redo from at/below this LSN rebuilds it
@@ -91,6 +99,37 @@ struct CacheStats {
     const double w = static_cast<double>(disk_writes);
     const double d = static_cast<double>(dirty_evictions);
     return w >= d ? 0.0 : 1.0 - w / d;
+  }
+
+  CacheStats& operator+=(const CacheStats& o) {
+    return Zip(o, [](uint64_t& a, uint64_t b) { a += b; });
+  }
+  CacheStats& operator-=(const CacheStats& o) {
+    return Zip(o, [](uint64_t& a, uint64_t b) { a -= b; });
+  }
+
+ private:
+  /// op(mine, theirs) over every counter: the one field list += and -=
+  /// share, so no counter can be summed but not subtracted.
+  template <typename Op>
+  CacheStats& Zip(const CacheStats& o, Op op) {
+    op(lookups, o.lookups);
+    op(hits, o.hits);
+    op(dirty_evictions, o.dirty_evictions);
+    op(disk_writes, o.disk_writes);
+    op(disk_reads, o.disk_reads);
+    op(flash_writes, o.flash_writes);
+    op(flash_reads, o.flash_reads);
+    op(enqueues, o.enqueues);
+    op(invalidations, o.invalidations);
+    op(second_chances, o.second_chances);
+    op(pulled_from_dram, o.pulled_from_dram);
+    op(meta_flash_writes, o.meta_flash_writes);
+    op(delta_records, o.delta_records);
+    op(delta_record_bytes, o.delta_record_bytes);
+    op(delta_block_writes, o.delta_block_writes);
+    op(delta_consolidations, o.delta_consolidations);
+    return *this;
   }
 };
 
@@ -188,6 +227,12 @@ class CacheExtension {
   /// non-absorbing policies). Write-back caches invalidate a stale copy.
   virtual void OnPageWrittenToDisk(PageId page_id) { (void)page_id; }
 
+  /// First start on a blank (erased) flash device: write whatever on-flash
+  /// structures the policy keeps (FaCE's superblock, TAC's slot directory).
+  /// Policies whose constructed state already describes an empty device do
+  /// nothing.
+  virtual Status Format() { return Status::OK(); }
+
   /// Restart after a crash: restore persistent metadata (FaCE/TAC) or
   /// reset to cold (LC/Exadata). Charges recovery I/O.
   virtual Status RecoverAfterCrash() = 0;
@@ -199,29 +244,6 @@ class CacheExtension {
 
   /// Wire the DRAM pull source (GSC batch filling). Optional.
   virtual void SetPullSource(DramPullSource* source) { (void)source; }
-
-  // --- degraded disk-only mode ----------------------------------------------
-  // When the flash device is declared lost, the supervisor collects the
-  // flash-only dirty set (for WAL rebuild), then enters degraded mode. While
-  // degraded the buffer pool treats the policy like NullCache: no Contains,
-  // no ReadPage, no admissions, no background work. None of these touch the
-  // flash device — it is gone.
-
-  /// True while serving disk-only after a flash loss.
-  bool degraded() const { return degraded_; }
-
-  /// Drop all cache state without flash I/O and stop serving from flash.
-  /// Callers needing the flash-only dirty set must CollectFlashOnlyDirty
-  /// BEFORE this. Base implementation just sets the flag.
-  virtual Status EnterDegraded() {
-    degraded_ = true;
-    return Status::OK();
-  }
-
-  /// Restart-time variant: the control block says the crash happened while
-  /// degraded, so the (possibly replaced) flash contents must not be
-  /// trusted. No flash I/O.
-  virtual void MarkDegradedAtRestart() { degraded_ = true; }
 
   /// Append every page whose newest version lives only on flash, with its
   /// WAL rebuild floor, in any order. Empty for write-through and
@@ -242,16 +264,6 @@ class CacheExtension {
   /// per-page floors died with the process; the persisted minimum is a safe
   /// lower bound for every page that was dirty before the crash.
   virtual void SetRecoveredDirtyFloor(Lsn floor) { (void)floor; }
-
-  /// Re-attach a healthy (erased) flash device after degradation: reformat
-  /// policy state cold and resume normal admission. The caller owns device
-  /// health (injector disarm + SimDevice::ResetHealth) and the control
-  /// block marker. Default: the cold restart of a volatile directory;
-  /// policies with an on-flash directory override it to re-format that.
-  virtual Status ReattachFlash() {
-    degraded_ = false;
-    return RecoverAfterCrash();
-  }
 
   /// Background scrub: verify up to `max_frames` occupied flash frames
   /// (rotating cursor), repair rotten clean frames from the durable home,
@@ -278,11 +290,11 @@ class CacheExtension {
 
  protected:
   CacheStats stats_;
-  bool degraded_ = false;
 };
 
-/// The no-cache configuration (HDD-only / SSD-only): dirty evictions go
-/// straight to disk; reads always miss.
+/// The no-cache configuration (HDD-only / SSD-only), and the buffer pool's
+/// disk-only service after a flash loss: dirty evictions go straight to
+/// disk; reads always miss.
 class NullCache final : public CacheExtension {
  public:
   /// `storage` is where dirty evictions are written; see DbStorage.

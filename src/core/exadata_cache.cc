@@ -24,11 +24,6 @@ ExadataCache::ExadataCache(uint64_t n_frames, SimDevice* flash,
   assert(n_frames <= static_cast<uint64_t>(INT32_MAX));  // int32 LRU links
 }
 
-void ExadataCache::ResetLru() {
-  lru_.Clear();
-  links_.assign(links_.size(), IntrusiveLinks());
-}
-
 StatusOr<FlashReadResult> ExadataCache::ReadPage(PageId page_id, char* out) {
   const uint32_t slot = store_.SlotOf(page_id);
   if (slot == SlotStore::kNoSlot) {
@@ -89,21 +84,13 @@ void ExadataCache::DropSlot(uint32_t slot) {
 
 Status ExadataCache::RecoverAfterCrash() {
   // The DRAM directory is gone, and delta chains are part of it.
-  ResetLru();
+  lru_.Clear();
+  links_.assign(links_.size(), IntrusiveLinks());
   return store_.Format();
-}
-
-Status ExadataCache::EnterDegraded() {
-  // The device is dead: drop the DRAM directory without touching it.
-  degraded_ = true;
-  ResetLru();
-  store_.Clear();
-  return Status::OK();
 }
 
 Status ExadataCache::ScrubSome(uint64_t max_frames, ScrubResult* out) {
   // Clean-only cache: disk holds the chain tip of every frame.
-  if (degraded_) return Status::OK();
   return store_.Scrub(max_frames, out);
 }
 

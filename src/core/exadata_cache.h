@@ -51,13 +51,8 @@ class ExadataCache final : public CacheExtension {
                          uint64_t* admitted_version = nullptr) override;
   void OnPageWrittenToDisk(PageId page_id) override;
   Status RecoverAfterCrash() override;
-  Status CheckInvariants() const override;
-
-  // Degraded mode / scrub (see cache_ext.h). Clean-only write-through:
-  // degradation drops the DRAM directory (no device I/O), re-attach is a
-  // cold start, and every rotten frame is repairable from disk.
-  Status EnterDegraded() override;
   Status ScrubSome(uint64_t max_frames, ScrubResult* out) override;
+  Status CheckInvariants() const override;
 
   uint64_t cached_pages() const { return store_.size(); }
 
@@ -69,8 +64,6 @@ class ExadataCache final : public CacheExtension {
 
   /// Drop the page cached in `slot` and free the slot.
   void DropSlot(uint32_t slot);
-  /// Empty the LRU (the store is reset separately).
-  void ResetLru();
 
   DbStorage* storage_;
 

@@ -772,14 +772,6 @@ void FaceCache::NoteDirtyAdmission(PageId page_id, Lsn rec_lsn,
   dirty_since_.TryEmplace(page_id, floor);
 }
 
-Status FaceCache::EnterDegraded() {
-  // The flash device is gone: drop every structure without touching it.
-  // Callers needing the exposure set must CollectFlashOnlyDirty first.
-  degraded_ = true;
-  ResetState();
-  return Status::OK();
-}
-
 void FaceCache::CollectFlashOnlyDirty(std::vector<FlashOnlyPage>* out) const {
   dirty_since_.ForEach([&](PageId pid, const Lsn& since) {
     out->push_back(FlashOnlyPage{pid, since});
@@ -792,13 +784,6 @@ Lsn FaceCache::FlashRedoFloor() const {
     if (floor == kInvalidLsn || since < floor) floor = since;
   });
   return floor;
-}
-
-Status FaceCache::ReattachFlash() {
-  // The caller hands us a healthy erased device (injector disarmed,
-  // SimDevice::ResetHealth done): reformat cold and resume admissions.
-  degraded_ = false;
-  return Format();
 }
 
 Status FaceCache::PersistEntryDrop(uint64_t seq) {
@@ -833,7 +818,7 @@ Status FaceCache::PersistEntryDrop(uint64_t seq) {
 }
 
 Status FaceCache::ScrubSome(uint64_t max_frames, ScrubResult* out) {
-  if (degraded_ || max_frames == 0 || live_entries() == 0) return Status::OK();
+  if (max_frames == 0 || live_entries() == 0) return Status::OK();
   if (scrub_seq_ < front_seq_ || scrub_seq_ >= rear_seq_) {
     scrub_seq_ = front_seq_;
   }

@@ -79,11 +79,9 @@ class FaceCache final : public CacheExtension {
   /// `storage` receives dirty pages staged out of the cache.
   FaceCache(const FaceOptions& options, SimDevice* flash, DbStorage* storage);
 
-  /// Initialize an empty cache (fresh superblock). Call once on a new
-  /// device; RecoverAfterCrash handles restarts.
-  Status Format();
-
   // CacheExtension interface ------------------------------------------------
+  /// Initialize an empty cache (fresh superblock) on a blank device.
+  Status Format() override;
   const char* name() const override;
   bool IsPersistent() const override { return true; }
   bool Contains(PageId page_id) const override {
@@ -99,12 +97,10 @@ class FaceCache final : public CacheExtension {
   void SetPullSource(DramPullSource* source) override { pull_ = source; }
   Status CheckInvariants() const override;
 
-  // Degraded mode / scrub (see cache_ext.h) ----------------------------------
-  Status EnterDegraded() override;
+  // Durability exposure / scrub (see cache_ext.h) ---------------------------
   void CollectFlashOnlyDirty(std::vector<FlashOnlyPage>* out) const override;
   Lsn FlashRedoFloor() const override;
   void SetRecoveredDirtyFloor(Lsn floor) override;
-  Status ReattachFlash() override;
   Status ScrubSome(uint64_t max_frames, ScrubResult* out) override;
 
   /// Deep directory audit for crash tests: CheckInvariants plus a read-back
@@ -220,7 +216,7 @@ class FaceCache final : public CacheExtension {
   Status FlushSegment(uint64_t seg_no);
   Status WriteSuperblock();
   /// Forget every frame, metadata and delta chain in memory (no flash I/O):
-  /// the shared first half of Format and EnterDegraded.
+  /// the shared first half of Format and RecoverAfterCrash.
   void ResetState();
 
   /// Copy `page` into `dst` and stamp page id, the enqueue sequence (into

@@ -150,21 +150,9 @@ Status LcCache::RecoverAfterCrash() {
 }
 
 bool LcCache::HasBackgroundWork() const {
-  if (degraded_) return false;
   const double dirty = DirtyFraction();
   if (cleaning_) return dirty > options_.clean_target;
   return dirty > options_.clean_threshold;
-}
-
-Status LcCache::EnterDegraded() {
-  // The flash device is gone: drop the DRAM directory without touching it.
-  // Callers needing the exposure set must CollectFlashOnlyDirty first.
-  degraded_ = true;
-  victim_order_.Clear();
-  dirty_count_ = 0;
-  cleaning_ = false;
-  store_.Clear();
-  return Status::OK();
 }
 
 void LcCache::CollectFlashOnlyDirty(std::vector<FlashOnlyPage>* out) const {
@@ -188,7 +176,6 @@ Lsn LcCache::FlashRedoFloor() const {
 }
 
 Status LcCache::ScrubSome(uint64_t max_frames, ScrubResult* out) {
-  if (degraded_) return Status::OK();
   return store_.Scrub(max_frames, out, [this, out](uint32_t slot) {
     if (!meta_[slot].dirty) return false;
     // Dirty frame: the rotten base held the only up-to-date copy. Drop the

@@ -72,10 +72,9 @@ class LcCache final : public CacheExtension {
   bool HasBackgroundWork() const override;
   Status CheckInvariants() const override;
 
-  // Degraded mode / scrub (see cache_ext.h). LC's write-back window —
-  // flash-dirty pages between checkpoints — is the exposure a flash loss
+  // Durability exposure / scrub (see cache_ext.h). LC's write-back window
+  // — flash-dirty pages between checkpoints — is the exposure a flash loss
   // creates; every dirty slot already tracks its recLSN.
-  Status EnterDegraded() override;
   void CollectFlashOnlyDirty(std::vector<FlashOnlyPage>* out) const override;
   Lsn FlashRedoFloor() const override;
   Status ScrubSome(uint64_t max_frames, ScrubResult* out) override;

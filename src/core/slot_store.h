@@ -15,7 +15,7 @@
 //   - page-differential refresh through a DeltaRing placed right past the
 //     frames, with base tag = slot and slot-reuse consolidation;
 //   - a rotating checksum scrub over the reverse map;
-//   - the cold reset used by crash restart, degradation and re-attach, and
+//   - the cold reset used by crash restart, and
 //     the restart sweep of an owner with a persistent directory (TAC).
 //
 // The owner keeps its per-slot metadata in vectors indexed by slot and
@@ -109,10 +109,8 @@ class SlotStore {
   Status Scrub(uint64_t max_frames, ScrubResult* out,
                const TakeDirtyFn& take_dirty = nullptr);
 
-  /// Forget every page and chain without flash I/O; all slots become free
-  /// and the scrub rotation restarts at slot 0.
-  void Clear();
-  /// Clear() plus a fresh delta-ring epoch on the media: a cold start.
+  /// Forget every page and chain and start a fresh delta-ring epoch on the
+  /// media: a cold start.
   Status Format();
 
   /// Restart from a persistent directory: `claimed(slot)` is the page the
@@ -145,6 +143,9 @@ class SlotStore {
   uint64_t FrameBlock(uint32_t slot) const { return frame_base_ + slot; }
   /// Empty the index, reverse map and free list; drop every chain.
   void Unmap();
+  /// Unmap(), then free every slot and restart the scrub rotation at slot
+  /// 0 (no flash I/O).
+  void Clear();
   /// Start a fresh delta-ring epoch on the media.
   Status RenewRing();
   /// Read the base frame of `slot` (no validation, no chain).

@@ -183,23 +183,8 @@ Status TacCache::RecoverAfterCrash() {
   return Status::OK();
 }
 
-Status TacCache::EnterDegraded() {
-  // The device is dead: no invalidation writes, just forget everything.
-  degraded_ = true;
-  ResetMap();
-  store_.Clear();
-  return Status::OK();
-}
-
-Status TacCache::ReattachFlash() {
-  // A healthy erased device: rewrite the persistent directory from scratch.
-  degraded_ = false;
-  return Format();
-}
-
 Status TacCache::ScrubSome(uint64_t max_frames, ScrubResult* out) {
   // Write-through: disk holds the chain tip of every frame.
-  if (degraded_) return Status::OK();
   return store_.Scrub(max_frames, out);
 }
 

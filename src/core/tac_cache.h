@@ -63,10 +63,9 @@ class TacCache final : public CacheExtension {
   /// `flash` must have at least DeviceBlocksFor(n_frames) blocks.
   TacCache(const TacOptions& options, SimDevice* flash, DbStorage* storage);
 
-  /// Initialize an empty persistent directory on a fresh device.
-  Status Format();
-
   // CacheExtension interface --------------------------------------------------
+  /// Initialize an empty persistent directory on a blank device.
+  Status Format() override;
   const char* name() const override { return "TAC"; }
   bool IsPersistent() const override { return false; }
   bool Contains(PageId page_id) const override {
@@ -86,15 +85,8 @@ class TacCache final : public CacheExtension {
   void OnPageWrittenToDisk(PageId page_id) override;
   /// Rebuild the cache map from the persistent slot directory.
   Status RecoverAfterCrash() override;
-  Status CheckInvariants() const override;
-
-  // Degraded mode / scrub (see cache_ext.h). Write-through means flash
-  // never outruns disk: degradation drops only the in-memory map (the dead
-  // device gets no invalidation writes), and every rotten frame is
-  // repairable from disk — lost_dirty stays empty.
-  Status EnterDegraded() override;
-  Status ReattachFlash() override;
   Status ScrubSome(uint64_t max_frames, ScrubResult* out) override;
+  Status CheckInvariants() const override;
 
   // Introspection --------------------------------------------------------------
   uint64_t cached_pages() const { return store_.size(); }

@@ -6,11 +6,10 @@ Database::Database(const DatabaseOptions& options, DbStorage* storage,
                    LogManager* log, CacheExtension* cache)
     : storage_(storage),
       log_(log),
-      cache_(cache),
       pool_(options.buffer_frames, storage, log, cache),
       txns_(log, &pool_),
       catalog_(&pool_),
-      checkpointer_(log, &pool_, &txns_, storage, cache) {}
+      checkpointer_(log, &pool_, &txns_, storage) {}
 
 Status Database::Format() {
   FACE_RETURN_IF_ERROR(log_->Format());
@@ -31,8 +30,7 @@ Status Database::Open() {
 
 StatusOr<RestartReport> Database::Recover(IoScheduler* sched,
                                           uint32_t bg_token) {
-  RestartManager restart(log_, &pool_, &txns_, storage_, cache_, sched,
-                         bg_token);
+  RestartManager restart(log_, &pool_, &txns_, storage_, sched, bg_token);
   FACE_ASSIGN_OR_RETURN(RestartReport report, restart.Run());
   FACE_RETURN_IF_ERROR(catalog_.Load());
   return report;

@@ -41,7 +41,8 @@ struct DatabaseOptions {
 class Database {
  public:
   /// All pointers must outlive the database. `cache` decides what happens
-  /// to pages evicted from DRAM (NullCache for a cache-less system).
+  /// to pages evicted from DRAM (NullCache for a cache-less system); the
+  /// buffer pool holds it and may switch it (see BufferPool::SwitchCache).
   Database(const DatabaseOptions& options, DbStorage* storage,
            LogManager* log, CacheExtension* cache);
 
@@ -93,12 +94,10 @@ class Database {
   Checkpointer* checkpointer() { return &checkpointer_; }
   DbStorage* storage() { return storage_; }
   LogManager* log() { return log_; }
-  CacheExtension* cache() { return cache_; }
 
  private:
   DbStorage* storage_;
   LogManager* log_;
-  CacheExtension* cache_;
   BufferPool pool_;
   TransactionManager txns_;
   Catalog catalog_;

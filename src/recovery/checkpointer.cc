@@ -11,10 +11,9 @@ StatusOr<Lsn> Checkpointer::TakeCheckpoint() {
 
   // 1. Non-persistent write-back caches stage their flash-dirty pages to
   //    disk first, so that "all dirty pages synced" below really covers
-  //    everything the post-checkpoint redo will skip. While degraded the
-  //    flash device is gone: no cache step may touch it.
-  const bool degraded = cache_->degraded();
-  if (!degraded) FACE_RETURN_IF_ERROR(cache_->PrepareCheckpoint());
+  //    everything the post-checkpoint redo will skip.
+  CacheExtension* cache = pool_->cache();
+  FACE_RETURN_IF_ERROR(cache->PrepareCheckpoint());
 
   // 2. Log BEGIN with the dirty-page and active-transaction tables plus the
   //    page allocator's high-water mark.
@@ -29,22 +28,23 @@ StatusOr<Lsn> Checkpointer::TakeCheckpoint() {
   // 3. Make every dirty DRAM page persistent — into the flash cache when
   //    the policy absorbs it (FaCE), else to disk.
   FACE_RETURN_IF_ERROR(pool_->SyncDirtyPagesForCheckpoint());
-  if (!degraded) FACE_RETURN_IF_ERROR(cache_->OnCheckpoint());
+  FACE_RETURN_IF_ERROR(cache->OnCheckpoint());
 
   // 4. Log END, force, and only then advertise the checkpoint: a crash
   //    before the control-block write falls back to the previous one. The
   //    control record also carries the cache's durability exposure: the
-  //    degraded marker and the flash redo floor — the lowest WAL LSN still
-  //    needed to rebuild a page whose newest version lives only on flash.
+  //    degraded marker (the pool serves disk-only) and the flash redo floor
+  //    — the lowest WAL LSN still needed to rebuild a page whose newest
+  //    version lives only on flash.
   LogRecord end;
   end.type = LogRecordType::kCheckpointEnd;
   end.prev_lsn = begin_lsn;
   const Lsn end_lsn = log_->Append(&end);
   FACE_RETURN_IF_ERROR(log_->FlushTo(end_lsn));
-  const Lsn flash_floor = degraded ? kInvalidLsn : cache_->FlashRedoFloor();
+  const Lsn flash_floor = cache->FlashRedoFloor();
   WalControlInfo info;
   info.checkpoint_lsn = begin_lsn;
-  info.degraded = degraded;
+  info.degraded = pool_->disk_only();
   info.rebuild_floor = flash_floor;
   FACE_RETURN_IF_ERROR(log_->WriteControlInfo(info));
   // 5. Recycle log space: nothing before this checkpoint's BEGIN will be

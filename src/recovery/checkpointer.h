@@ -9,8 +9,8 @@
 //     must first be staged to disk (PrepareCheckpoint), then DRAM dirty
 //     pages are written to disk too. This is the checkpointing cost the
 //     paper charges to LC.
-//   - TAC / Exadata / none: write-through or no cache; DRAM dirty pages go
-//     to disk.
+//   - TAC / Exadata / none, and disk-only service after a flash loss:
+//     write-through or no cache; DRAM dirty pages go to disk.
 // The sequence is PostgreSQL-flavored: log CHECKPOINT_BEGIN carrying the
 // DPT/ATT/allocator, sync every dirty page, log CHECKPOINT_END, then point
 // the control block at BEGIN. Redo after a crash starts at the BEGIN of the
@@ -22,7 +22,6 @@
 #include "buffer/buffer_pool.h"
 #include "common/status.h"
 #include "common/types.h"
-#include "core/cache_ext.h"
 #include "txn/transaction_manager.h"
 #include "wal/log_manager.h"
 
@@ -36,10 +35,10 @@ class Checkpointer {
     uint64_t dpt_pages = 0;  ///< dirty pages captured across all checkpoints
   };
 
+  /// The cache the checkpoint routes through is the pool's active one.
   Checkpointer(LogManager* log, BufferPool* pool, TransactionManager* txns,
-               DbStorage* storage, CacheExtension* cache)
-      : log_(log), pool_(pool), txns_(txns), storage_(storage),
-        cache_(cache) {}
+               DbStorage* storage)
+      : log_(log), pool_(pool), txns_(txns), storage_(storage) {}
 
   /// Run one full checkpoint; returns the BEGIN record's LSN (the redo
   /// point a subsequent restart will use).
@@ -52,7 +51,6 @@ class Checkpointer {
   BufferPool* pool_;
   TransactionManager* txns_;
   DbStorage* storage_;
-  CacheExtension* cache_;
   Stats stats_;
 };
 

@@ -110,13 +110,16 @@ Status RestartManager::RunPhases(RestartReport* report) {
   report->degraded = ctrl.degraded;
 
   // Phase 1: restore the cache extension's metadata before touching any
-  // data page, so analysis/redo/undo fetches can hit flash (paper §4.2).
+  // data page, so analysis/redo/undo fetches can hit flash (paper §4.2) —
+  // or, after a degraded crash, switch the pool to disk-only service so no
+  // phase ever reads the untrusted device.
   {
     obs::ScopedSpan span("recovery", "meta_restore");
     if (ctrl.degraded) {
-      cache_->MarkDegradedAtRestart();
+      pool_->SwitchCache(nullptr);
     } else {
-      FACE_RETURN_IF_ERROR(cache_->RecoverAfterCrash());
+      CacheExtension* cache = pool_->cache();
+      FACE_RETURN_IF_ERROR(cache->RecoverAfterCrash());
       // The exact per-page rebuild floors died with the process; lower the
       // restored dirty entries to the persisted minimum. Pages admitted
       // dirty after the last checkpoint were clean at its sync, so the
@@ -127,7 +130,7 @@ Status RestartManager::RunPhases(RestartReport* report) {
         floor = ctrl.checkpoint_lsn;
       }
       if (floor == kInvalidLsn) floor = LogManager::kLogStartLsn;
-      cache_->SetRecoveredDirtyFloor(floor);
+      cache->SetRecoveredDirtyFloor(floor);
     }
   }
   const SimNanos t_meta = SpanTime();
@@ -180,7 +183,7 @@ Status RestartManager::RunPhases(RestartReport* report) {
   // redo the recovery work itself.
   {
     obs::ScopedSpan span("recovery", "checkpoint");
-    Checkpointer ckpt(log_, pool_, txns_, storage_, cache_);
+    Checkpointer ckpt(log_, pool_, txns_, storage_);
     FACE_RETURN_IF_ERROR(ckpt.TakeCheckpoint().status());
   }
   const SimNanos t_ckpt = SpanTime();

@@ -24,7 +24,6 @@
 #include "buffer/buffer_pool.h"
 #include "common/status.h"
 #include "common/types.h"
-#include "core/cache_ext.h"
 #include "recovery/checkpointer.h"
 #include "sim/scheduler.h"
 #include "txn/transaction_manager.h"
@@ -37,7 +36,7 @@ struct RestartReport {
   Lsn checkpoint_lsn = kInvalidLsn;  ///< last complete checkpoint's BEGIN
   /// The control block said the crash happened while the flash cache was
   /// lost: the cache metadata was not restored (the device's contents are
-  /// untrusted) and the system comes up serving disk-only.
+  /// untrusted) and the buffer pool comes up serving disk-only.
   bool degraded = false;
   uint64_t analysis_records = 0;
   uint64_t redo_records = 0;   ///< update/CLR records examined
@@ -82,11 +81,12 @@ class RestartManager {
  public:
   /// `sched` may be null (tests that do not care about virtual time).
   /// `bg_token` is the scheduler background token recovery runs on.
+  /// The cache restored in phase 1 is the pool's active one.
   RestartManager(LogManager* log, BufferPool* pool, TransactionManager* txns,
-                 DbStorage* storage, CacheExtension* cache,
-                 IoScheduler* sched = nullptr, uint32_t bg_token = 0)
+                 DbStorage* storage, IoScheduler* sched = nullptr,
+                 uint32_t bg_token = 0)
       : log_(log), pool_(pool), txns_(txns), storage_(storage),
-        cache_(cache), sched_(sched), bg_token_(bg_token) {}
+        sched_(sched), bg_token_(bg_token) {}
 
   /// Run full crash recovery. On success the system is consistent: all
   /// committed work is present, all loser work is rolled back.
@@ -108,7 +108,6 @@ class RestartManager {
   BufferPool* pool_;
   TransactionManager* txns_;
   DbStorage* storage_;
-  CacheExtension* cache_;
   IoScheduler* sched_;
   uint32_t bg_token_;
 };

@@ -37,6 +37,30 @@ struct DeviceStats {
 
   uint64_t total_reqs() const { return read_reqs + write_reqs; }
   uint64_t total_pages() const { return pages_read + pages_written; }
+
+  DeviceStats& operator+=(const DeviceStats& o) {
+    return Zip(o, [](uint64_t& a, uint64_t b) { a += b; });
+  }
+  DeviceStats& operator-=(const DeviceStats& o) {
+    return Zip(o, [](uint64_t& a, uint64_t b) { a -= b; });
+  }
+
+ private:
+  /// op(mine, theirs) over every counter: the one field list += and -=
+  /// share, so no counter can be summed but not subtracted.
+  template <typename Op>
+  DeviceStats& Zip(const DeviceStats& o, Op op) {
+    op(read_reqs, o.read_reqs);
+    op(write_reqs, o.write_reqs);
+    op(seq_read_reqs, o.seq_read_reqs);
+    op(seq_write_reqs, o.seq_write_reqs);
+    op(pages_read, o.pages_read);
+    op(pages_written, o.pages_written);
+    op(busy_ns, o.busy_ns);
+    op(retries, o.retries);
+    op(backoff_ns, o.backoff_ns);
+    return *this;
+  }
 };
 
 /// Simulated device; see file comment. Not thread-safe (the whole simulation

@@ -11,43 +11,6 @@ namespace {
 /// space so neighboring shards never run correlated request streams.
 constexpr uint64_t kShardSeedMix = 0x9e3779b97f4a7c15ull;
 
-void AddDeviceStats(DeviceStats* into, const DeviceStats& d) {
-  into->read_reqs += d.read_reqs;
-  into->write_reqs += d.write_reqs;
-  into->seq_read_reqs += d.seq_read_reqs;
-  into->seq_write_reqs += d.seq_write_reqs;
-  into->pages_read += d.pages_read;
-  into->pages_written += d.pages_written;
-  into->busy_ns += d.busy_ns;
-}
-
-void AddCacheStats(CacheStats* into, const CacheStats& c) {
-  into->lookups += c.lookups;
-  into->hits += c.hits;
-  into->dirty_evictions += c.dirty_evictions;
-  into->disk_writes += c.disk_writes;
-  into->disk_reads += c.disk_reads;
-  into->flash_writes += c.flash_writes;
-  into->flash_reads += c.flash_reads;
-  into->enqueues += c.enqueues;
-  into->invalidations += c.invalidations;
-  into->second_chances += c.second_chances;
-  into->pulled_from_dram += c.pulled_from_dram;
-  into->meta_flash_writes += c.meta_flash_writes;
-}
-
-void AddPoolStats(BufferPool::Stats* into, const BufferPool::Stats& p) {
-  into->fetches += p.fetches;
-  into->hits += p.hits;
-  into->misses += p.misses;
-  into->disk_fetches += p.disk_fetches;
-  into->flash_fetches += p.flash_fetches;
-  into->evictions += p.evictions;
-  into->dirty_evictions += p.dirty_evictions;
-  into->new_pages += p.new_pages;
-  into->pulls += p.pulls;
-}
-
 }  // namespace
 
 RunResult MergeRunResults(const std::vector<RunResult>& per_shard,
@@ -59,11 +22,19 @@ RunResult MergeRunResults(const std::vector<RunResult>& per_shard,
     merged.user_aborts += r.user_aborts;
     merged.checkpoints += r.checkpoints;
     merged.duration = std::max(merged.duration, r.duration);
-    AddDeviceStats(&merged.db_stats, r.db_stats);
-    AddDeviceStats(&merged.flash_stats, r.flash_stats);
-    AddDeviceStats(&merged.log_stats, r.log_stats);
-    AddCacheStats(&merged.cache_stats, r.cache_stats);
-    AddPoolStats(&merged.pool_stats, r.pool_stats);
+    merged.db_stats += r.db_stats;
+    merged.flash_stats += r.flash_stats;
+    merged.log_stats += r.log_stats;
+    merged.cache_stats += r.cache_stats;
+    merged.pool_stats += r.pool_stats;
+    // Fault telemetry sums like the device counters: degraded_ns is
+    // shard-time spent disk-only.
+    merged.degradations += r.degradations;
+    merged.degraded_txns += r.degraded_txns;
+    merged.degraded_ns += r.degraded_ns;
+    merged.scrub_frames_scanned += r.scrub_frames_scanned;
+    merged.scrub_clean_repaired += r.scrub_clean_repaired;
+    merged.scrub_lost_dirty += r.scrub_lost_dirty;
     merged.completions.insert(merged.completions.end(), r.completions.begin(),
                               r.completions.end());
   }

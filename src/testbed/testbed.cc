@@ -176,11 +176,12 @@ uint64_t Testbed::FlashDeviceBlocks() const {
   return 0;
 }
 
-StatusOr<std::unique_ptr<CacheExtension>> Testbed::MakeCache() {
+StatusOr<std::unique_ptr<CacheExtension>> Testbed::MakeCache(bool blank) {
+  std::unique_ptr<CacheExtension> cache;
   switch (opts_.policy) {
     case CachePolicy::kNone:
-      return std::unique_ptr<CacheExtension>(
-          std::make_unique<NullCache>(storage_.get()));
+      cache = std::make_unique<NullCache>(storage_.get());
+      break;
     case CachePolicy::kFace:
     case CachePolicy::kFaceGR:
     case CachePolicy::kFaceGSC: {
@@ -195,46 +196,57 @@ StatusOr<std::unique_ptr<CacheExtension>> Testbed::MakeCache() {
       fo.write_through = opts_.face_write_through;
       fo.cache_clean = opts_.face_cache_clean;
       fo.cache_dirty = opts_.face_cache_dirty;
-      return std::unique_ptr<CacheExtension>(std::make_unique<FaceCache>(
-          fo, flash_dev_.get(), storage_.get()));
+      cache = std::make_unique<FaceCache>(fo, flash_dev_.get(), storage_.get());
+      break;
     }
     case CachePolicy::kLc: {
       LcOptions lo;
       lo.n_frames = opts_.flash_pages;
       lo.clean_threshold = opts_.lc_clean_threshold;
       lo.clean_target = std::max(0.0, opts_.lc_clean_threshold - 0.05);
-      return std::unique_ptr<CacheExtension>(
-          std::make_unique<LcCache>(lo, flash_dev_.get(), storage_.get()));
+      cache = std::make_unique<LcCache>(lo, flash_dev_.get(), storage_.get());
+      break;
     }
     case CachePolicy::kTac: {
       TacOptions to;
       to.n_frames = opts_.flash_pages;
-      return std::unique_ptr<CacheExtension>(
-          std::make_unique<TacCache>(to, flash_dev_.get(), storage_.get()));
+      cache = std::make_unique<TacCache>(to, flash_dev_.get(), storage_.get());
+      break;
     }
     case CachePolicy::kExadata:
-      return std::unique_ptr<CacheExtension>(std::make_unique<ExadataCache>(
-          opts_.flash_pages, flash_dev_.get(), storage_.get()));
+      cache = std::make_unique<ExadataCache>(opts_.flash_pages,
+                                             flash_dev_.get(), storage_.get());
+      break;
   }
-  return Status::InvalidArgument("unknown cache policy");
+  if (cache == nullptr) return Status::InvalidArgument("unknown cache policy");
+  if (blank) FACE_RETURN_IF_ERROR(cache->Format());
+  return cache;
 }
 
 Status Testbed::BuildDramStack(bool after_crash) {
   storage_ = std::make_unique<DbStorage>(db_dev_.get());
   log_ = std::make_unique<LogManager>(log_dev_.get());
-  FACE_ASSIGN_OR_RETURN(cache_, MakeCache());
-  if (!after_crash) {
-    if (auto* fc = dynamic_cast<FaceCache*>(cache_.get())) {
-      FACE_RETURN_IF_ERROR(fc->Format());
-    } else if (auto* tc = dynamic_cast<TacCache*>(cache_.get())) {
-      FACE_RETURN_IF_ERROR(tc->Format());
-    }
-  }
+  FACE_ASSIGN_OR_RETURN(policy_, MakeCache(/*blank=*/!after_crash));
+  retired_stats_ = CacheStats();
   DatabaseOptions db_opts;
   db_opts.buffer_frames = buffer_frames_;
   db_ = std::make_unique<Database>(db_opts, storage_.get(), log_.get(),
-                                   cache_.get());
+                                   policy_.get());
   return Status::OK();
+}
+
+void Testbed::SwitchCache(std::unique_ptr<CacheExtension> next) {
+  CacheExtension* out = db_->pool()->cache();
+  retired_stats_ += out->stats();
+  out->ResetStats();
+  db_->pool()->SwitchCache(next.get());
+  policy_ = std::move(next);
+}
+
+CacheStats Testbed::CacheTotals() {
+  CacheStats total = retired_stats_;
+  total += cache()->stats();
+  return total;
 }
 
 Status Testbed::Start() {
@@ -275,9 +287,9 @@ Status Testbed::Start() {
 
 Status Testbed::RunBackgroundWork() {
   // LC's lazy cleaner: drain on its own token so cleaning overlaps clients.
-  while (cache_->HasBackgroundWork()) {
+  while (cache()->HasBackgroundWork()) {
     sched_.BeginBackground(cleaner_token_, sched_.now());
-    const Status s = cache_->RunBackgroundWork();
+    const Status s = cache()->RunBackgroundWork();
     sched_.EndBackground();
     FACE_RETURN_IF_ERROR(s);
   }
@@ -290,7 +302,7 @@ StatusOr<RunResult> Testbed::Run(const RunOptions& run) {
   const DeviceStats log0 = log_dev_->stats();
   const DeviceStats flash0 =
       flash_dev_ != nullptr ? flash_dev_->stats() : DeviceStats{};
-  const CacheStats cache0 = cache_->stats();
+  const CacheStats cache0 = CacheTotals();
   const BufferPool::Stats pool0 = db_->pool()->stats();
   const uint64_t primary0 = workload_->stats().primary;
   const uint64_t ab0 = workload_->stats().user_aborts;
@@ -330,7 +342,7 @@ StatusOr<RunResult> Testbed::Run(const RunOptions& run) {
       continue;
     }
     const SimNanos done = sched_.EndTxn();
-    if (cache_->degraded()) ++degraded_txns_;
+    if (IsDegraded()) ++degraded_txns_;
     if (run.collect_completions) result.completions.emplace_back(done, *type);
     if (obs_on && *type < txn_lat_.size()) {
       txn_lat_[*type]->Add(done - t_begin);
@@ -349,8 +361,7 @@ StatusOr<RunResult> Testbed::Run(const RunOptions& run) {
       ++result.checkpoints;
     }
 
-    if (opts_.scrub_interval != 0 && flash_dev_ != nullptr &&
-        !cache_->degraded() &&
+    if (opts_.scrub_interval != 0 && flash_dev_ != nullptr && !IsDegraded() &&
         sched_.now() - last_scrub_time_ >= opts_.scrub_interval) {
       FACE_RETURN_IF_ERROR(ScrubPass(opts_.scrub_frames_per_pass).status());
       last_scrub_time_ = sched_.now();
@@ -362,29 +373,19 @@ StatusOr<RunResult> Testbed::Run(const RunOptions& run) {
   result.user_aborts = workload_->stats().user_aborts - ab0;
   result.duration = sched_.makespan() - start;
 
-  auto delta = [](const DeviceStats& now, const DeviceStats& then) {
-    DeviceStats d;
-    d.read_reqs = now.read_reqs - then.read_reqs;
-    d.write_reqs = now.write_reqs - then.write_reqs;
-    d.seq_read_reqs = now.seq_read_reqs - then.seq_read_reqs;
-    d.seq_write_reqs = now.seq_write_reqs - then.seq_write_reqs;
-    d.pages_read = now.pages_read - then.pages_read;
-    d.pages_written = now.pages_written - then.pages_written;
-    d.busy_ns = now.busy_ns - then.busy_ns;
-    d.retries = now.retries - then.retries;
-    d.backoff_ns = now.backoff_ns - then.backoff_ns;
-    return d;
-  };
   result.degradations = degradations_ - deg0;
   result.degraded_txns = degraded_txns_ - degtxn0;
   result.degraded_ns = DegradedNanos() - degns0;
   result.scrub_frames_scanned = scrub_frames_scanned_ - scrub_fr0;
   result.scrub_clean_repaired = scrub_clean_repaired_ - scrub_cr0;
   result.scrub_lost_dirty = scrub_lost_dirty_ - scrub_ld0;
-  result.db_stats = delta(db_dev_->stats(), db0);
-  result.log_stats = delta(log_dev_->stats(), log0);
+  result.db_stats = db_dev_->stats();
+  result.db_stats -= db0;
+  result.log_stats = log_dev_->stats();
+  result.log_stats -= log0;
   if (flash_dev_ != nullptr) {
-    result.flash_stats = delta(flash_dev_->stats(), flash0);
+    result.flash_stats = flash_dev_->stats();
+    result.flash_stats -= flash0;
   }
   if (result.duration > 0) {
     result.db_utilization =
@@ -397,32 +398,12 @@ StatusOr<RunResult> Testbed::Run(const RunOptions& run) {
             : 0.0;
   }
 
-  // Cache and pool counters are cumulative; report run-relative deltas for
-  // the I/O counts and absolute values for the rate denominators.
-  result.cache_stats = cache_->stats();
-  result.cache_stats.lookups -= cache0.lookups;
-  result.cache_stats.hits -= cache0.hits;
-  result.cache_stats.dirty_evictions -= cache0.dirty_evictions;
-  result.cache_stats.disk_writes -= cache0.disk_writes;
-  result.cache_stats.disk_reads -= cache0.disk_reads;
-  result.cache_stats.flash_writes -= cache0.flash_writes;
-  result.cache_stats.flash_reads -= cache0.flash_reads;
-  result.cache_stats.enqueues -= cache0.enqueues;
-  result.cache_stats.invalidations -= cache0.invalidations;
-  result.cache_stats.second_chances -= cache0.second_chances;
-  result.cache_stats.pulled_from_dram -= cache0.pulled_from_dram;
-  result.cache_stats.meta_flash_writes -= cache0.meta_flash_writes;
-
+  // Cache and pool counters are cumulative; report run-relative deltas. A
+  // run that degrades counts the retired policy's share too.
+  result.cache_stats = CacheTotals();
+  result.cache_stats -= cache0;
   result.pool_stats = db_->pool()->stats();
-  result.pool_stats.fetches -= pool0.fetches;
-  result.pool_stats.hits -= pool0.hits;
-  result.pool_stats.misses -= pool0.misses;
-  result.pool_stats.disk_fetches -= pool0.disk_fetches;
-  result.pool_stats.flash_fetches -= pool0.flash_fetches;
-  result.pool_stats.evictions -= pool0.evictions;
-  result.pool_stats.dirty_evictions -= pool0.dirty_evictions;
-  result.pool_stats.new_pages -= pool0.new_pages;
-  result.pool_stats.pulls -= pool0.pulls;
+  result.pool_stats -= pool0;
   return result;
 }
 
@@ -431,7 +412,8 @@ void Testbed::ResetAllStats() {
   db_dev_->ResetStats();
   log_dev_->ResetStats();
   if (flash_dev_ != nullptr) flash_dev_->ResetStats();
-  cache_->ResetStats();
+  cache()->ResetStats();
+  retired_stats_ = CacheStats();
   db_->pool()->ResetStats();
   db_->txns()->ResetStats();
   workload_->ResetStats();
@@ -472,7 +454,7 @@ Status Testbed::Crash() {
   // DRAM dies: every in-memory structure is discarded, in dependency order.
   workload_.reset();
   db_.reset();
-  cache_.reset();
+  policy_.reset();
   log_.reset();
   storage_.reset();
   return Status::OK();
@@ -494,9 +476,11 @@ StatusOr<RestartReport> Testbed::Recover() {
   // Nobody runs during restart: clients resume where recovery left off.
   sched_.AdvanceAllTokens(sched_.makespan());
 
-  // A degraded crash comes back up degraded: the supervisor's bookkeeping
-  // must agree with the control block the restart honored.
+  // A degraded crash comes back up degraded: restart already switched the
+  // pool to disk-only, the never-used policy goes, and the supervisor's
+  // bookkeeping must agree with the control block the restart honored.
   if (report.degraded) {
+    policy_.reset();
     degraded_since_ = sched_.makespan();
     if (obs::Enabled()) GetFaultObs().degraded->Set(1);
   }
@@ -505,7 +489,7 @@ StatusOr<RestartReport> Testbed::Recover() {
 
 SimNanos Testbed::DegradedNanos() const {
   SimNanos total = degraded_accum_;
-  if (cache_ != nullptr && cache_->degraded()) {
+  if (IsDegraded()) {
     total += sched_.makespan() - degraded_since_;
   }
   return total;
@@ -515,7 +499,7 @@ StatusOr<bool> Testbed::InterceptFlashLoss(const Status& s) {
   if (s.ok()) return false;
   // Only a flash device whose retry budget was exhausted (or that an
   // injector killed) is survivable; every other failure propagates.
-  if (flash_dev_ == nullptr || !flash_dev_->failed() || cache_->degraded()) {
+  if (flash_dev_ == nullptr || !flash_dev_->failed() || IsDegraded()) {
     return s;
   }
   FACE_RETURN_IF_ERROR(DegradeToDiskOnly());
@@ -523,19 +507,19 @@ StatusOr<bool> Testbed::InterceptFlashLoss(const Status& s) {
 }
 
 Status Testbed::DegradeToDiskOnly() {
-  if (cache_->degraded()) return Status::OK();
+  if (IsDegraded()) return Status::OK();
   obs::ScopedSpan span("testbed", "degrade_to_disk_only");
   sched_.BeginBackground(recovery_token_, sched_.now());
   auto body = [&]() -> Status {
     // 1. The flash-only dirty set and its WAL floor, while the policy's
     //    durability-exposure ledger still exists.
     std::vector<FlashOnlyPage> lost;
-    cache_->CollectFlashOnlyDirty(&lost);
-    const Lsn floor = cache_->FlashRedoFloor();
+    policy_->CollectFlashOnlyDirty(&lost);
+    const Lsn floor = policy_->FlashRedoFloor();
 
-    // 2. Stop using flash: drop all cache state without touching the dead
-    //    device. From here the buffer pool treats the policy as NullCache.
-    FACE_RETURN_IF_ERROR(cache_->EnterDegraded());
+    // 2. Stop using flash: the buffer pool serves disk-only through its own
+    //    NullCache, and the policy goes without touching the dead device.
+    SwitchCache(nullptr);
 
     // 3. Durable degraded marker + rebuild floor BEFORE reconstructing
     //    anything: a crash from here on restarts disk-only and redoes from
@@ -570,8 +554,9 @@ Status Testbed::DegradeToDiskOnly() {
       FACE_RETURN_IF_ERROR(workload_->OnInflightRolledBack(*db_));
     }
 
-    // 7. Re-anchor: the checkpoint (degraded-aware) makes the rebuilt state
-    //    the recovery floor and retires the rebuild_floor marker.
+    // 7. Re-anchor: the checkpoint (disk-only, so it keeps the degraded
+    //    marker) makes the rebuilt state the recovery floor and retires the
+    //    rebuild_floor marker.
     return db_->TakeCheckpoint().status();
   }();
   sched_.EndBackground();
@@ -590,7 +575,7 @@ Status Testbed::ReattachFlash() {
   if (flash_dev_ == nullptr) {
     return Status::InvalidArgument("no flash device to re-attach");
   }
-  if (!cache_->degraded()) {
+  if (!IsDegraded()) {
     return Status::InvalidArgument("re-attach while not degraded");
   }
   obs::ScopedSpan span("testbed", "reattach_flash");
@@ -600,7 +585,9 @@ Status Testbed::ReattachFlash() {
     // disarming any fault injector; health reset models the swap.
     flash_dev_->ResetHealth();
     flash_dev_->Erase();
-    FACE_RETURN_IF_ERROR(cache_->ReattachFlash());
+    FACE_ASSIGN_OR_RETURN(std::unique_ptr<CacheExtension> fresh,
+                          MakeCache(/*blank=*/true));
+    SwitchCache(std::move(fresh));
     // Durable un-mark: restarts trust the (reformatted) flash again.
     FACE_ASSIGN_OR_RETURN(WalControlInfo info, log_->ReadControlInfo());
     info.degraded = false;
@@ -617,10 +604,10 @@ Status Testbed::ReattachFlash() {
 
 StatusOr<ScrubResult> Testbed::ScrubPass(uint64_t max_frames) {
   ScrubResult res;
-  if (flash_dev_ == nullptr || cache_->degraded()) return res;
+  if (flash_dev_ == nullptr || IsDegraded()) return res;
   obs::ScopedSpan span("testbed", "scrub");
   sched_.BeginBackground(cleaner_token_, sched_.now());
-  const Status s = cache_->ScrubSome(max_frames, &res);
+  const Status s = policy_->ScrubSome(max_frames, &res);
   sched_.EndBackground();
   // The scrub itself may be what exhausts a dying device's retry budget.
   FACE_ASSIGN_OR_RETURN(const bool degraded_now, InterceptFlashLoss(s));

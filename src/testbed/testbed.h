@@ -229,16 +229,18 @@ class Testbed {
   // also drive it directly.
 
   /// Declare the flash cache lost and transition to disk-only service:
-  /// collect the flash-only dirty set, drop the cache state (no flash
-  /// I/O), persist the degraded marker + WAL rebuild floor, flush frames
+  /// collect the flash-only dirty set, switch the buffer pool to disk-only
+  /// and drop the policy (no flash I/O), persist the degraded marker + WAL
+  /// rebuild floor, flush frames
   /// whose only redo protection was their flash copy, rebuild the lost
   /// dirty pages from the WAL onto disk, roll back stranded transactions,
   /// and re-anchor with a checkpoint. Traffic resumes disk-only.
   Status DegradeToDiskOnly();
 
   /// Re-attach a healthy flash device after degradation: resets device
-  /// health, erases the media, reformats the policy cold, and clears the
-  /// durable degraded marker. The cache re-warms through normal admission.
+  /// health, erases the media, builds and Formats a fresh policy as Start
+  /// does, hands it to the buffer pool, and clears the durable degraded
+  /// marker. The cache re-warms through normal admission.
   /// The caller owns disarming any fault injector first.
   Status ReattachFlash();
 
@@ -248,7 +250,9 @@ class Testbed {
   StatusOr<ScrubResult> ScrubPass(uint64_t max_frames);
 
   /// True while serving disk-only after a flash loss.
-  bool IsDegraded() const { return cache_ != nullptr && cache_->degraded(); }
+  bool IsDegraded() const {
+    return db_ != nullptr && db_->pool()->disk_only();
+  }
   /// Flash-loss events handled since the last stats reset.
   uint64_t degradations() const { return degradations_; }
   /// Report of the most recent WAL-driven flash rebuild.
@@ -273,7 +277,11 @@ class Testbed {
   SimDevice* db_dev() { return db_dev_.get(); }
   SimDevice* flash_dev() { return flash_dev_.get(); }
   SimDevice* log_dev() { return log_dev_.get(); }
-  CacheExtension* cache() { return cache_.get(); }
+  /// The cache the engine is using: the configured policy, or the buffer
+  /// pool's NullCache while disk-only. Null between Crash and Recover.
+  CacheExtension* cache() {
+    return db_ != nullptr ? db_->pool()->cache() : nullptr;
+  }
   const TestbedOptions& options() const { return opts_; }
   /// DRAM buffer frames actually in use (after the 0 = ratio default).
   uint32_t buffer_frames() const { return buffer_frames_; }
@@ -294,8 +302,16 @@ class Testbed {
   /// Create storage/log/cache/database. `after_crash` skips cache Format
   /// (RecoverAfterCrash will restore or reset it).
   Status BuildDramStack(bool after_crash);
-  /// Construct the configured policy over flash_dev_.
-  StatusOr<std::unique_ptr<CacheExtension>> MakeCache();
+  /// Construct the configured policy over flash_dev_; `blank` = the device
+  /// is erased, so Format it (Start and re-attach).
+  StatusOr<std::unique_ptr<CacheExtension>> MakeCache(bool blank);
+  /// Hand the buffer pool `next` (null = disk-only) and own it as the
+  /// policy. The outgoing cache's counters are carried into retired_stats_
+  /// so run deltas span the switch.
+  void SwitchCache(std::unique_ptr<CacheExtension> next);
+  /// Every cache counter since the last reset: retired caches' plus the
+  /// active one's.
+  CacheStats CacheTotals();
   /// Flash device blocks the policy needs for `flash_pages` cache pages.
   uint64_t FlashDeviceBlocks() const;
   uint32_t EffectiveSegEntries() const;
@@ -321,7 +337,9 @@ class Testbed {
 
   std::unique_ptr<DbStorage> storage_;
   std::unique_ptr<LogManager> log_;
-  std::unique_ptr<CacheExtension> cache_;
+  /// The configured policy; null while the pool serves disk-only.
+  std::unique_ptr<CacheExtension> policy_;
+  CacheStats retired_stats_;  ///< counters of caches switched out
   std::unique_ptr<Database> db_;
   std::unique_ptr<workload::Workload> workload_;
   Random client_rnd_;  ///< per-client request stream handed to NextTxn

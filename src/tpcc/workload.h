@@ -3,9 +3,9 @@
 // zero, like the paper's BenchmarkSQL runs: the system is I/O bound and the
 // metric is throughput.
 //
-// Simplifications kept from common research practice (all documented in
-// DESIGN.md): Delivery runs inline rather than deferred/queued, and the
-// driver picks transaction types by weighted random rather than card-deck.
+// Two simplifications, both common research practice and documented
+// here: Delivery runs inline rather than deferred/queued, and the driver
+// picks transaction types by weighted random rather than card-deck.
 #pragma once
 
 #include <cstdint>

@@ -77,11 +77,10 @@ class Workload {
   /// tests count these as losers). Optional: default is Unimplemented.
   virtual Status InjectStranded(Database& db, Random& rnd);
 
-  /// The testbed rolled back every non-prepared in-flight transaction on
-  /// the live engine (a flash loss interrupted one mid-run and the
-  /// supervisor aborted it before resuming traffic). Drivers tracking
-  /// in-doubt state resolve it here against the engine's actual rows;
-  /// default is a no-op.
+  /// The testbed rolled back every in-flight transaction on the live
+  /// engine (a flash loss interrupted one mid-run and the supervisor
+  /// aborted it before resuming traffic). Drivers tracking in-doubt state
+  /// resolve it here against the engine's actual rows; default is a no-op.
   virtual Status OnInflightRolledBack(Database& db) {
     (void)db;
     return Status::OK();

@@ -1,9 +1,13 @@
 // Unit tests: buffer pool LRU behavior, pin discipline, dirty/fdirty flag
 // protocol, WAL-before-data, eviction through the cache extension, victim
-// pulling.
+// pulling, the disk-only switch.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "buffer/buffer_pool.h"
 #include "tests/test_util.h"
@@ -158,6 +162,129 @@ TEST_F(BufferPoolTest, MoveSemanticsOfHandles) {
   EXPECT_EQ(pool_->pinned_frames(), 1u);
   b.Release();
   EXPECT_EQ(pool_->pinned_frames(), 0u);
+}
+
+/// A cache that records every call the pool makes into the contract and
+/// holds nothing, so every miss is served from disk.
+class SpyCache final : public CacheExtension {
+ public:
+  const char* name() const override { return "spy"; }
+  bool IsPersistent() const override { return false; }
+  bool Contains(PageId) const override {
+    calls.push_back("Contains");
+    return false;
+  }
+  StatusOr<FlashReadResult> ReadPage(PageId, char*) override {
+    calls.push_back("ReadPage");
+    return Status::NotFound("spy holds nothing");
+  }
+  Status OnDramEvict(PageId, char*, bool, bool, Lsn,
+                     DeltaWriteHint*) override {
+    calls.push_back("OnDramEvict");
+    return Status::OK();
+  }
+  Status OnFetchFromDisk(PageId, const char*, uint64_t*) override {
+    calls.push_back("OnFetchFromDisk");
+    return Status::OK();
+  }
+  StatusOr<bool> CheckpointPage(PageId, char*, Lsn,
+                                DeltaWriteHint*) override {
+    calls.push_back("CheckpointPage");
+    return false;
+  }
+  void OnPageWrittenToDisk(PageId) override {
+    calls.push_back("OnPageWrittenToDisk");
+  }
+  Status RecoverAfterCrash() override {
+    calls.push_back("RecoverAfterCrash");
+    return Status::OK();
+  }
+  void SetPullSource(DramPullSource* source) override { pull = source; }
+
+  bool Saw(const std::string& call) const {
+    return std::find(calls.begin(), calls.end(), call) != calls.end();
+  }
+
+  mutable std::vector<std::string> calls;
+  DramPullSource* pull = nullptr;
+};
+
+TEST_F(BufferPoolTest, DiskOnlySwitchBypassesThePolicyUntilSwitchedBack) {
+  SpyCache spy;  // outlives the pool, which unhooks it on destruction
+  BufferPool pool(8, storage_.get(), log_.get(), &spy);
+  EXPECT_EQ(spy.pull, &pool);
+
+  // Dirty `page` under a logged update, so it is checkpoint-dirty too.
+  auto dirty = [this](PageHandle* page, const char* text) {
+    LogRecord rec;
+    rec.type = LogRecordType::kUpdate;
+    rec.txn_id = 1;
+    rec.page_id = page->page_id();
+    rec.before = "b";
+    rec.after = "a";
+    memcpy(page->data() + kPageHeaderSize, text, strlen(text));
+    page->MarkDirty(log_->Append(&rec));
+  };
+  auto flood = [&pool] {
+    for (int i = 0; i < 10; ++i) FACE_ASSERT_OK(pool.NewPage().status());
+  };
+
+  pool.SwitchCache(nullptr);
+  EXPECT_TRUE(pool.disk_only());
+  EXPECT_EQ(spy.pull, nullptr);
+  EXPECT_STREQ(pool.cache()->name(), "none");
+
+  // Checkpoint sync: the dirty frame goes to disk.
+  FACE_ASSERT_OK_AND_ASSIGN(PageHandle synced, pool.NewPage());
+  const PageId synced_id = synced.page_id();
+  dirty(&synced, "synced");
+  synced.Release();
+  uint64_t written = db_dev_->stats().pages_written;
+  FACE_ASSERT_OK(pool.SyncDirtyPagesForCheckpoint());
+  EXPECT_EQ(db_dev_->stats().pages_written, written + 1);
+  EXPECT_TRUE(pool.CollectDirtyPages().empty());
+
+  // Dirty eviction: the victim goes to disk, counted like no-cache.
+  FACE_ASSERT_OK_AND_ASSIGN(PageHandle evicted, pool.NewPage());
+  const PageId evicted_id = evicted.page_id();
+  dirty(&evicted, "evicted");
+  evicted.Release();
+  written = db_dev_->stats().pages_written;
+  flood();
+  EXPECT_GT(db_dev_->stats().pages_written, written);
+  EXPECT_GT(pool.cache()->stats().dirty_evictions, 0u);
+
+  // Miss: served from disk, the probe counted by the disk-only cache.
+  const uint64_t disk_fetches = pool.stats().disk_fetches;
+  FACE_ASSERT_OK_AND_ASSIGN(PageHandle back, pool.FetchPage(evicted_id));
+  EXPECT_EQ(memcmp(back.data() + kPageHeaderSize, "evicted", 7), 0);
+  back.Release();
+  EXPECT_EQ(pool.stats().disk_fetches, disk_fetches + 1);
+  EXPECT_GT(pool.cache()->stats().lookups, 0u);
+  EXPECT_TRUE(spy.calls.empty()) << spy.calls.size()
+                                 << " calls reached the policy, first: "
+                                 << spy.calls.front();
+
+  // Switched back: the policy is wired again and sees every event.
+  pool.SwitchCache(&spy);
+  EXPECT_FALSE(pool.disk_only());
+  EXPECT_EQ(pool.cache(), &spy);
+  EXPECT_EQ(spy.pull, &pool);
+  FACE_ASSERT_OK(pool.EvictAll());
+  FACE_ASSERT_OK_AND_ASSIGN(PageHandle again, pool.FetchPage(synced_id));
+  EXPECT_EQ(memcmp(again.data() + kPageHeaderSize, "synced", 6), 0);
+  dirty(&again, "again");
+  again.Release();
+  FACE_ASSERT_OK(pool.SyncDirtyPagesForCheckpoint());
+  FACE_ASSERT_OK_AND_ASSIGN(PageHandle last, pool.FetchPage(synced_id));
+  dirty(&last, "twice");
+  last.Release();
+  flood();
+  EXPECT_TRUE(spy.Saw("Contains"));
+  EXPECT_TRUE(spy.Saw("OnFetchFromDisk"));
+  EXPECT_TRUE(spy.Saw("CheckpointPage"));
+  EXPECT_TRUE(spy.Saw("OnPageWrittenToDisk"));
+  EXPECT_TRUE(spy.Saw("OnDramEvict"));
 }
 
 }  // namespace
