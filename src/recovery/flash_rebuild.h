@@ -16,12 +16,13 @@
 // so the crash path and the degrade path cannot drift apart.
 //
 // Caller contract (see Testbed::DegradeToDiskOnly and Testbed::ScrubPass):
-// no cache may still serve the lost pages — after a flash loss the buffer
-// pool is disk-only, and the scrubber has already dropped every page it
-// reports — the WAL must not have been truncated above the floor (the
-// checkpointer holds it down via CacheExtension::FlashRedoFloor), and
-// stranded-transaction rollback must run AFTER the rebuild — rollback
-// applies before-images to the page tips this redo reconstructs.
+//   - no cache may still serve the lost pages: after a flash loss the
+//     buffer pool is disk-only; the scrubber has already dropped every page
+//     it reports, and the cache stays live for the rest;
+//   - the WAL must not have been truncated above the floor (the
+//     checkpointer holds it down via CacheExtension::FlashRedoFloor);
+//   - stranded-transaction rollback must run AFTER the rebuild: rollback
+//     applies before-images to the page tips this redo reconstructs.
 #pragma once
 
 #include <cstdint>
@@ -51,11 +52,11 @@ class FlashRebuild {
   FlashRebuild(LogManager* log, BufferPool* pool, DbStorage* storage)
       : log_(log), pool_(pool), storage_(storage) {}
 
-  /// Reconstruct `lost` (any order) from the WAL and write the results to
-  /// disk in ascending page order. Entries whose
-  /// redo_lsn is kInvalidLsn scan from `fallback_floor` (the restored
-  /// control block's rebuild_floor, or the last checkpoint); if that is
-  /// also invalid, from the start of the log.
+  /// Reconstruct `lost` (in any order) from the WAL and write the results
+  /// to disk in ascending page order. Entries whose redo_lsn is kInvalidLsn
+  /// scan from `fallback_floor` (the restored control block's
+  /// rebuild_floor, or the last checkpoint); if that is also invalid, from
+  /// the start of the log.
   StatusOr<FlashRebuildReport> Rebuild(const std::vector<FlashOnlyPage>& lost,
                                        Lsn fallback_floor);
 

@@ -514,8 +514,8 @@ Status Testbed::DegradeToDiskOnly() {
     // 1. The flash-only dirty set and its WAL floor, while the policy's
     //    durability-exposure ledger still exists.
     std::vector<FlashOnlyPage> lost;
-    policy_->CollectFlashOnlyDirty(&lost);
-    const Lsn floor = policy_->FlashRedoFloor();
+    cache()->CollectFlashOnlyDirty(&lost);
+    const Lsn floor = cache()->FlashRedoFloor();
 
     // 2. Stop using flash: the buffer pool serves disk-only through its own
     //    NullCache, and the policy goes without touching the dead device.
@@ -607,7 +607,7 @@ StatusOr<ScrubResult> Testbed::ScrubPass(uint64_t max_frames) {
   if (flash_dev_ == nullptr || IsDegraded()) return res;
   obs::ScopedSpan span("testbed", "scrub");
   sched_.BeginBackground(cleaner_token_, sched_.now());
-  const Status s = policy_->ScrubSome(max_frames, &res);
+  const Status s = cache()->ScrubSome(max_frames, &res);
   sched_.EndBackground();
   // The scrub itself may be what exhausts a dying device's retry budget.
   FACE_ASSIGN_OR_RETURN(const bool degraded_now, InterceptFlashLoss(s));

@@ -231,10 +231,10 @@ class Testbed {
   /// Declare the flash cache lost and transition to disk-only service:
   /// collect the flash-only dirty set, switch the buffer pool to disk-only
   /// and drop the policy (no flash I/O), persist the degraded marker + WAL
-  /// rebuild floor, flush frames
-  /// whose only redo protection was their flash copy, rebuild the lost
-  /// dirty pages from the WAL onto disk, roll back stranded transactions,
-  /// and re-anchor with a checkpoint. Traffic resumes disk-only.
+  /// rebuild floor, flush frames whose only redo protection was their
+  /// flash copy, rebuild the lost dirty pages from the WAL onto disk, roll
+  /// back stranded transactions, and re-anchor with a checkpoint. Traffic
+  /// resumes disk-only.
   Status DegradeToDiskOnly();
 
   /// Re-attach a healthy flash device after degradation: resets device
@@ -337,7 +337,8 @@ class Testbed {
 
   std::unique_ptr<DbStorage> storage_;
   std::unique_ptr<LogManager> log_;
-  /// The configured policy; null while the pool serves disk-only.
+  /// Owns the configured policy (the pool holds the active pointer); null
+  /// while the pool serves disk-only.
   std::unique_ptr<CacheExtension> policy_;
   CacheStats retired_stats_;  ///< counters of caches switched out
   std::unique_ptr<Database> db_;

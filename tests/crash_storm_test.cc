@@ -234,9 +234,9 @@ class DegradedRig {
  public:
   void Build(CachePolicy policy, uint64_t seed, SimNanos scrub_interval = 0) {
     fault::ShadowKvOptions wo;
-    // 3,000 rows of 160 B span several hundred pages: the working set
-    // overflows the 64 DRAM frames many times over, so warmup already
-    // evicts to flash (FaCE: ~220 evictions, ~270 flash page I/Os).
+    // 3,000 rows of 160 B (over 100 heap pages plus the index) overflow the
+    // 64 DRAM frames, so warmup already drives flash: 400 txns make ~220
+    // evictions and, under FaCE, ~270 flash page I/Os.
     wo.records = 3000;
     wo.value_bytes = 160;
     shadow_ = std::make_shared<fault::ShadowState>();
