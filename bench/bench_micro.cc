@@ -16,6 +16,7 @@
 #include "storage/db_storage.h"
 #include "tpcc/schema.h"
 #include "wal/log_manager.h"
+#include "workload/kv_table.h"
 
 namespace face {
 namespace {
@@ -163,6 +164,19 @@ void BM_CustomerRowCodec(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CustomerRowCodec);
+
+/// One 400-byte KV row image into a reused buffer: the per-row cost of KV
+/// population and of every differential-check sweep.
+void BM_KvRowImage(benchmark::State& state) {
+  std::string row;
+  uint64_t id = 0;
+  for (auto _ : state) {
+    workload::KvTable::RowTo(&row, id, 400, id & 7);
+    benchmark::DoNotOptimize(row.data());
+    ++id;
+  }
+}
+BENCHMARK(BM_KvRowImage);
 
 }  // namespace
 }  // namespace face

@@ -10,6 +10,11 @@
 
 namespace face {
 
+// The helpers copy host bytes, so the formats are little-endian only on a
+// little-endian host; refuse to build anywhere else.
+static_assert(__BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__,
+              "on-media encodings assume a little-endian host");
+
 inline void EncodeFixed16(char* dst, uint16_t v) { memcpy(dst, &v, 2); }
 inline void EncodeFixed32(char* dst, uint32_t v) { memcpy(dst, &v, 4); }
 inline void EncodeFixed64(char* dst, uint64_t v) { memcpy(dst, &v, 8); }

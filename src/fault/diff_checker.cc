@@ -8,6 +8,8 @@
 namespace face {
 namespace fault {
 
+using workload::KvTable;
+
 namespace {
 
 constexpr size_t kMaxDetails = 12;
@@ -20,8 +22,8 @@ void AddDivergence(DiffReport* report, const std::string& what) {
 /// Resolve the in-doubt operation: read the key and decide which of its two
 /// legal outcomes the recovered system chose. Anything else is a
 /// divergence (resolved to the old state so later checks stay coherent).
-void ResolvePending(const workload::KvTable& table, ShadowState* shadow,
-                    DiffReport* report) {
+void ResolvePending(const KvTable& table, ShadowState* shadow,
+                    std::string* expected, DiffReport* report) {
   PendingOp p = shadow->pending;
   shadow->pending = PendingOp();
   if (p.kind == PendingOp::Kind::kNone) return;
@@ -30,7 +32,7 @@ void ResolvePending(const workload::KvTable& table, ShadowState* shadow,
   const Status s = table.Read(p.key, &row);
   const uint32_t vb = shadow->value_bytes;
   if (p.kind == PendingOp::Kind::kUpdate) {
-    if (s.ok() && row == workload::KvTable::Row(p.key, vb, p.new_version)) {
+    if (s.ok() && KvTable::IsRow(row, p.key, vb, p.new_version, expected)) {
       if (p.commit_attempted) {
         shadow->versions[p.key] = p.new_version;  // commit made it down
       } else {
@@ -43,7 +45,7 @@ void ResolvePending(const workload::KvTable& table, ShadowState* shadow,
                           "reached commit");
       }
     } else if (s.ok() &&
-               row == workload::KvTable::Row(p.key, vb, p.old_version)) {
+               KvTable::IsRow(row, p.key, vb, p.old_version, expected)) {
       // rolled back (or never applied) — shadow already expects this
     } else {
       AddDivergence(report,
@@ -54,7 +56,7 @@ void ResolvePending(const workload::KvTable& table, ShadowState* shadow,
     return;
   }
   // kInsert: the key either fully exists at the new version or not at all.
-  if (s.ok() && row == workload::KvTable::Row(p.key, vb, p.new_version)) {
+  if (s.ok() && KvTable::IsRow(row, p.key, vb, p.new_version, expected)) {
     if (p.commit_attempted) {
       shadow->versions.push_back(p.new_version);
     } else {
@@ -97,13 +99,15 @@ std::string DiffReport::ToString() const {
 StatusOr<DiffReport> RunDifferentialCheck(Database& db, ShadowState* shadow,
                                           CacheExtension* cache) {
   DiffReport report;
-  FACE_ASSIGN_OR_RETURN(workload::KvTable table, workload::KvTable::Open(db));
+  FACE_ASSIGN_OR_RETURN(KvTable table, KvTable::Open(db));
 
-  ResolvePending(table, shadow, &report);
+  std::string expected;
+  ResolvePending(table, shadow, &expected, &report);
 
   // Row-for-row: every committed key must read back at exactly its shadow
   // version. A NotFound or Corruption here is a divergence to record, not
-  // an error to bail on; an IOError means the rig itself is broken.
+  // an error to bail on; an IOError means the rig itself is broken. These
+  // pool fetches shape later simulated results: keep their order (README).
   std::string row;
   for (uint64_t key = 0; key < shadow->population(); ++key) {
     ++report.rows_checked;
@@ -114,8 +118,8 @@ StatusOr<DiffReport> RunDifferentialCheck(Database& db, ShadowState* shadow,
                                  " unreadable: " + s.ToString());
       continue;
     }
-    if (row != workload::KvTable::Row(key, shadow->value_bytes,
-                                      shadow->versions[key])) {
+    if (!KvTable::IsRow(row, key, shadow->value_bytes, shadow->versions[key],
+                        &expected)) {
       AddDivergence(&report, "key " + std::to_string(key) +
                                  " diverges from committed version " +
                                  std::to_string(shadow->versions[key]));

@@ -64,8 +64,8 @@ StatusOr<uint8_t> ShadowKvWorkload::NextTxn(Database& db, Random& rnd) {
     // Live differential check: every read is verified against the shadow,
     // so a lost or resurrected committed update is caught as soon as the
     // workload touches the row, not only at the post-recovery sweep.
-    if (row != workload::KvTable::Row(key, state_->value_bytes,
-                                      state_->versions[key])) {
+    if (!workload::KvTable::IsRow(row, key, state_->value_bytes,
+                                  state_->versions[key], &expected_row_)) {
       (void)db.Abort(txn);
       return Status::Corruption("shadow-kv: live read diverged on key " +
                                 std::to_string(key));
@@ -143,7 +143,8 @@ Status ShadowKvWorkload::OnInflightRolledBack(Database& db) {
   const Status s = table_.Read(p.key, &row);
   const uint32_t vb = state_->value_bytes;
   if (p.kind == PendingOp::Kind::kUpdate) {
-    if (s.ok() && row == workload::KvTable::Row(p.key, vb, p.old_version)) {
+    if (s.ok() && workload::KvTable::IsRow(row, p.key, vb, p.old_version,
+                                           &expected_row_)) {
       return Status::OK();
     }
     return Status::Corruption(

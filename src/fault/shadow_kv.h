@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <memory>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "workload/kv_table.h"
@@ -101,6 +102,8 @@ class ShadowKvWorkload : public workload::Workload {
   ShadowKvOptions opts_;
   ShadowState* state_;
   workload::KvTable table_;
+  /// Reused buffer for the row image a verified read must equal.
+  std::string expected_row_;
 };
 
 /// Builds golden images (identical to a YCSB load at version 0) and

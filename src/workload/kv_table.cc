@@ -24,10 +24,15 @@ std::string KvTable::Key(uint64_t id) {
   return KeyCodec().AppendU64(id).Take();
 }
 
-std::string KvTable::Row(uint64_t id, uint32_t value_bytes, uint64_t version) {
-  std::string row;
-  RowTo(&row, id, value_bytes, version);
-  return row;
+uint64_t KvTable::Letters8(uint64_t draw) {
+  // SWAR over even and odd bytes in 16-bit lanes: q = (b * 79) >> 11 equals
+  // b / 26 for every byte b, and no lane's product overflows into the next.
+  const auto letters = [](uint64_t lanes) {
+    const uint64_t q = ((lanes * 79) >> 11) & 0x001f001f001f001full;
+    return lanes - q * 26 + 0x0061006100610061ull;  // + 'a' per lane
+  };
+  constexpr uint64_t kLow = 0x00ff00ff00ff00ffull;
+  return letters(draw & kLow) | (letters((draw >> 8) & kLow) << 8);
 }
 
 void KvTable::RowTo(std::string* out, uint64_t id, uint32_t value_bytes,
@@ -36,20 +41,23 @@ void KvTable::RowTo(std::string* out, uint64_t id, uint32_t value_bytes,
   EncodeFixed64(out->data(), id);
   // Deterministic payload bytes from (id, version) — replays reproduce the
   // exact on-media image without storing it anywhere. Eight letters per
-  // generator draw: this runs once per row of every KV population, and one
-  // xorshift step per byte used to dominate 1M-row load wall-clock.
+  // generator draw, mapped at once by Letters8: this runs once per row of
+  // every KV population and of every differential-check sweep.
   Random payload(id * 0x9e3779b97f4a7c15ull ^ version);
   char* p = out->data() + 8;
   uint32_t i = 0;
   for (; i + 8 <= value_bytes; i += 8) {
-    const uint64_t draw = payload.Next();
-    for (int k = 0; k < 8; ++k) {
-      p[i + k] = static_cast<char>('a' + ((draw >> (8 * k)) & 0xff) % 26);
-    }
+    EncodeFixed64(p + i, Letters8(payload.Next()));
   }
   for (; i < value_bytes; ++i) {
     p[i] = static_cast<char>('a' + (payload.Next() & 0xff) % 26);
   }
+}
+
+bool KvTable::IsRow(const std::string& row, uint64_t id, uint32_t value_bytes,
+                    uint64_t version, std::string* scratch) {
+  RowTo(scratch, id, value_bytes, version);
+  return row == *scratch;
 }
 
 Status KvTable::Insert(PageWriter* writer, uint64_t id, uint32_t value_bytes,

@@ -31,14 +31,18 @@ struct KvTable {
 
   /// Order-preserving index key of logical key id `id`.
   static std::string Key(uint64_t id);
-  /// Deterministic row image of `id`: 8-byte id header + pseudo-random
+  /// Deterministic row image of `id` into a caller-owned buffer (reuse it
+  /// and steady state never allocates): 8-byte id header + pseudo-random
   /// payload, `value_bytes` total payload (fixed width, so updates are
   /// equal-length in-place overwrites). `version` varies the payload.
-  static std::string Row(uint64_t id, uint32_t value_bytes, uint64_t version);
-  /// Row(), encoded into a caller-owned buffer — the hot-path flavor;
-  /// Insert/Update reuse `row_scratch` so steady state never allocates.
   static void RowTo(std::string* out, uint64_t id, uint32_t value_bytes,
                     uint64_t version);
+  /// True if `row` is exactly RowTo's image; it is built in `scratch`.
+  static bool IsRow(const std::string& row, uint64_t id, uint32_t value_bytes,
+                    uint64_t version, std::string* scratch);
+  /// One generator draw's eight payload letters: byte k (least significant
+  /// first) is 'a' + (draw byte k) % 26, computed without division.
+  static uint64_t Letters8(uint64_t draw);
 
   /// Insert `id`'s row and index entry.
   Status Insert(PageWriter* writer, uint64_t id, uint32_t value_bytes,

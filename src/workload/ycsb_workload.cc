@@ -19,17 +19,21 @@ uint64_t Scramble(uint64_t v) {
   return h;
 }
 
-}  // namespace
-
-YcsbWorkload::YcsbWorkload(const YcsbOptions& options) : opts_(options) {}
-
-const char* YcsbWorkload::name() const {
-  switch (opts_.distribution) {
+const char* DistributionName(YcsbOptions::Distribution distribution) {
+  switch (distribution) {
     case YcsbOptions::Distribution::kUniform: return "ycsb-uniform";
     case YcsbOptions::Distribution::kZipfian: return "ycsb-zipfian";
     case YcsbOptions::Distribution::kLatest: return "ycsb-latest";
   }
   return "ycsb";
+}
+
+}  // namespace
+
+YcsbWorkload::YcsbWorkload(const YcsbOptions& options) : opts_(options) {}
+
+const char* YcsbWorkload::name() const {
+  return DistributionName(opts_.distribution);
 }
 
 const char* YcsbWorkload::txn_type_name(uint8_t type) const {
@@ -73,72 +77,41 @@ StatusOr<uint8_t> YcsbWorkload::NextTxn(Database& db, Random& rnd) {
   const int roll = static_cast<int>(rnd.Uniform(100));
   uint8_t type;
   Status s;
+  const TxnId txn = db.Begin();
   if (roll < opts_.pct_read) {
     type = kRead;
-    s = DoRead(db, ChooseKey(rnd));
+    std::string row;
+    s = table_.Read(ChooseKey(rnd), &row);
+    if (s.ok()) ++stats_.rows_read;
   } else if (roll < opts_.pct_read + opts_.pct_update) {
     type = kUpdate;
-    s = DoUpdate(db, ChooseKey(rnd));
+    PageWriter w = db.Writer(txn);
+    const uint64_t key = ChooseKey(rnd);
+    s = table_.Update(&w, key, opts_.value_bytes, ++version_);
+    if (s.ok()) ++stats_.rows_written;
   } else if (roll < opts_.pct_read + opts_.pct_update + opts_.pct_insert) {
     type = kInsert;
-    s = DoInsert(db);
+    PageWriter w = db.Writer(txn);
+    const uint64_t key = opts_.records + inserted_;
+    s = table_.Insert(&w, key, opts_.value_bytes, ++version_);
+    if (s.ok()) {
+      ++inserted_;
+      ++stats_.rows_written;
+    }
   } else {
     type = kScan;
     const uint64_t rows = 1 + rnd.Uniform(opts_.max_scan_rows);
-    s = DoScan(db, ChooseKey(rnd), rows);
+    const StatusOr<uint64_t> read = table_.Scan(ChooseKey(rnd), rows);
+    s = read.status();
+    if (read.ok()) stats_.rows_read += *read;
   }
-  if (!s.ok()) return s;
+  if (!s.ok()) {
+    FACE_RETURN_IF_ERROR(db.Abort(txn));
+    return s;
+  }
+  FACE_RETURN_IF_ERROR(db.Commit(txn));
   RecordCompleted(type, /*primary=*/true);
   return type;
-}
-
-Status YcsbWorkload::DoRead(Database& db, uint64_t key) {
-  const TxnId txn = db.Begin();
-  std::string row;
-  const Status s = table_.Read(key, &row);
-  if (!s.ok()) {
-    FACE_RETURN_IF_ERROR(db.Abort(txn));
-    return s;
-  }
-  ++stats_.rows_read;
-  return db.Commit(txn);
-}
-
-Status YcsbWorkload::DoUpdate(Database& db, uint64_t key) {
-  const TxnId txn = db.Begin();
-  PageWriter w = db.Writer(txn);
-  const Status s = table_.Update(&w, key, opts_.value_bytes, ++version_);
-  if (!s.ok()) {
-    FACE_RETURN_IF_ERROR(db.Abort(txn));
-    return s;
-  }
-  ++stats_.rows_written;
-  return db.Commit(txn);
-}
-
-Status YcsbWorkload::DoInsert(Database& db) {
-  const TxnId txn = db.Begin();
-  PageWriter w = db.Writer(txn);
-  const uint64_t key = opts_.records + inserted_;
-  const Status s = table_.Insert(&w, key, opts_.value_bytes, ++version_);
-  if (!s.ok()) {
-    FACE_RETURN_IF_ERROR(db.Abort(txn));
-    return s;
-  }
-  ++inserted_;
-  ++stats_.rows_written;
-  return db.Commit(txn);
-}
-
-Status YcsbWorkload::DoScan(Database& db, uint64_t key, uint64_t rows) {
-  const TxnId txn = db.Begin();
-  const StatusOr<uint64_t> read = table_.Scan(key, rows);
-  if (!read.ok()) {
-    FACE_RETURN_IF_ERROR(db.Abort(txn));
-    return read.status();
-  }
-  stats_.rows_read += *read;
-  return db.Commit(txn);
 }
 
 Status YcsbWorkload::InjectStranded(Database& db, Random& rnd) {
@@ -153,12 +126,7 @@ Status YcsbWorkload::InjectStranded(Database& db, Random& rnd) {
 // --- factory -----------------------------------------------------------------
 
 const char* YcsbFactory::name() const {
-  switch (opts_.distribution) {
-    case YcsbOptions::Distribution::kUniform: return "ycsb-uniform";
-    case YcsbOptions::Distribution::kZipfian: return "ycsb-zipfian";
-    case YcsbOptions::Distribution::kLatest: return "ycsb-latest";
-  }
-  return "ycsb";
+  return DistributionName(opts_.distribution);
 }
 
 uint64_t YcsbFactory::CapacityPages() const {

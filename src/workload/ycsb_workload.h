@@ -103,11 +103,6 @@ class YcsbWorkload : public Workload {
   uint64_t inserted() const { return inserted_; }
 
  private:
-  Status DoRead(Database& db, uint64_t key);
-  Status DoUpdate(Database& db, uint64_t key);
-  Status DoInsert(Database& db);
-  Status DoScan(Database& db, uint64_t key, uint64_t rows);
-
   YcsbOptions opts_;
   KvTable table_;
   std::unique_ptr<ZipfGenerator> zipf_;

@@ -10,8 +10,9 @@
 //
 // Also here: the paper's recovery observation (Table 6) as a regression
 // guard — a FaCE restart after a warmed-up crash serves >90 % of its
-// recovery page fetches from flash — and the sabotage run proving the
-// checker catches a deliberately-broken recovery path.
+// recovery page fetches from flash — the sabotage run proving the checker
+// catches a deliberately-broken recovery path, and single-row plants (one
+// byte off, or one version ahead) the checker must name.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,11 +22,13 @@
 #include <string>
 #include <vector>
 
+#include "common/coding.h"
 #include "core/flash_layout.h"
 #include "core/tac_cache.h"
 #include "testbed/crash_storm.h"
 #include "testbed/sharded_testbed.h"
 #include "tests/test_util.h"
+#include "workload/kv_table.h"
 #include "workload/ycsb_workload.h"
 
 namespace face {
@@ -219,6 +222,123 @@ TEST(RecoveryFromFlashTest, FaceServesRecoveryPagesFromFlash) {
       fault::DiffReport diff,
       fault::RunDifferentialCheck(*tb.db(), shadow.get(), tb.cache()));
   EXPECT_TRUE(diff.ok()) << diff.ToString();
+}
+
+// --- the checker's own sensitivity ------------------------------------------
+// A checker that passes everything proves nothing: a row that differs from
+// its expected image in a single byte, or sits at the wrong version, must
+// be reported as a divergence of exactly that key.
+
+class DiffCheckerTest : public ::testing::Test {
+ protected:
+  static constexpr uint64_t kRecords = 300;
+  static constexpr uint32_t kValueBytes = 160;
+
+  void SetUp() override {
+    fault::ShadowKvOptions wo;
+    wo.records = kRecords;
+    wo.value_bytes = kValueBytes;
+    shadow_ = std::make_shared<fault::ShadowState>();
+    auto factory = std::make_shared<fault::ShadowKvFactory>(wo, shadow_);
+    shadow_->Reset(wo.records, wo.value_bytes);
+    FACE_ASSERT_OK_AND_ASSIGN(golden_, GoldenImage::BuildFor(factory));
+
+    TestbedOptions to;
+    to.clients = 4;
+    to.seed = 3;
+    to.workload = factory;
+    to.buffer_frames = 64;
+    to.flash_pages = 256;
+    to.policy = CachePolicy::kFace;
+    tb_ = std::make_unique<Testbed>(to, &golden_);
+    FACE_ASSERT_OK(tb_->Start());
+    RunOptions run;
+    run.txns = 200;  // some keys move past version 0
+    FACE_ASSERT_OK(tb_->Run(run).status());
+  }
+
+  /// `key`'s row image at its committed shadow version.
+  std::string Expected(uint64_t key) const {
+    std::string row;
+    workload::KvTable::RowTo(&row, key, kValueBytes, shadow_->versions[key]);
+    return row;
+  }
+
+  /// Overwrite `key`'s heap row with `row` in a committed transaction the
+  /// shadow never hears about.
+  void Plant(uint64_t key, const std::string& row) {
+    Database& db = *tb_->db();
+    FACE_ASSERT_OK_AND_ASSIGN(workload::KvTable table,
+                              workload::KvTable::Open(db));
+    std::string rid;
+    FACE_ASSERT_OK(table.pk.Get(workload::KvTable::Key(key), &rid));
+    const TxnId txn = db.Begin();
+    PageWriter w = db.Writer(txn);
+    FACE_ASSERT_OK(table.rows.Update(&w, DecodeRid(rid), row));
+    FACE_ASSERT_OK(db.Commit(txn));
+  }
+
+  /// The check must flag `key` alone; then the true image goes back and
+  /// the check must come out clean again.
+  void ExpectOnlyKeyDiverges(uint64_t key, const char* what) {
+    FACE_ASSERT_OK_AND_ASSIGN(
+        fault::DiffReport diff,
+        fault::RunDifferentialCheck(*tb_->db(), shadow_.get(), tb_->cache()));
+    EXPECT_EQ(diff.divergences, 1u) << what << "\n" << diff.ToString();
+    ASSERT_FALSE(diff.details.empty()) << what;
+    EXPECT_EQ(diff.details[0].rfind("key " + std::to_string(key) +
+                                        " diverges",
+                                    0),
+              0u)
+        << what << "\n" << diff.ToString();
+
+    Plant(key, Expected(key));
+    FACE_ASSERT_OK_AND_ASSIGN(
+        diff,
+        fault::RunDifferentialCheck(*tb_->db(), shadow_.get(), tb_->cache()));
+    EXPECT_TRUE(diff.ok()) << what << " restored\n" << diff.ToString();
+  }
+
+  std::shared_ptr<fault::ShadowState> shadow_;
+  GoldenImage golden_;
+  std::unique_ptr<Testbed> tb_;
+};
+
+TEST_F(DiffCheckerTest, UntouchedStateIsClean) {
+  FACE_ASSERT_OK_AND_ASSIGN(
+      fault::DiffReport diff,
+      fault::RunDifferentialCheck(*tb_->db(), shadow_.get(), tb_->cache()));
+  EXPECT_TRUE(diff.ok()) << diff.ToString();
+  EXPECT_EQ(diff.rows_checked, shadow_->population());
+}
+
+TEST_F(DiffCheckerTest, OneByteOffIsCaughtAnywhereInThePayload) {
+  const uint64_t last = shadow_->population() - 1;
+  const struct {
+    uint64_t key;
+    size_t offset;  // into the row; the payload starts after the 8-byte id
+    const char* what;
+  } cases[] = {
+      {0, 8, "first payload byte"},
+      {kRecords / 2, 8 + kValueBytes / 2, "middle payload byte"},
+      {last, 8 + kValueBytes - 1, "last payload byte"},
+  };
+  for (const auto& c : cases) {
+    std::string row = Expected(c.key);
+    char& byte = row[c.offset];
+    byte = byte == 'z' ? 'a' : static_cast<char>(byte + 1);
+    Plant(c.key, row);
+    ExpectOnlyKeyDiverges(c.key, c.what);
+  }
+}
+
+TEST_F(DiffCheckerTest, WrongVersionIsCaught) {
+  const uint64_t key = kRecords / 3;
+  std::string row;
+  workload::KvTable::RowTo(&row, key, kValueBytes,
+                           shadow_->versions[key] + 1);
+  Plant(key, row);
+  ExpectOnlyKeyDiverges(key, "row one version ahead");
 }
 
 // --- degraded-mode storms ---------------------------------------------------

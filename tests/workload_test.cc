@@ -8,6 +8,8 @@
 
 #include <map>
 
+#include "common/coding.h"
+#include "common/crc32c.h"
 #include "tests/test_util.h"
 #include "workload/kv_table.h"
 #include "workload/scan_workload.h"
@@ -57,6 +59,57 @@ TestbedOptions SmallOptions(const GoldenImage& golden, CachePolicy policy) {
   opts.flash_pages = golden.db_pages() / 5;
   opts.clients = 8;
   return opts;
+}
+
+// --- KV row images -----------------------------------------------------------
+// Row images are never stored: replays, recovery checks and the shadow
+// rebuild them from (id, version), so the bytes must never drift. The
+// golden values were computed with the original byte-at-a-time `% 26`
+// generator.
+
+TEST(KvRowImageTest, MatchesGoldenBytes) {
+  std::string all;
+  std::string row;
+  for (uint64_t id = 0; id < 1000; ++id) {
+    for (uint32_t vb : {0u, 1u, 7u, 8u, 9u, 400u, 401u}) {
+      workload::KvTable::RowTo(&row, id, vb, id % 5);
+      ASSERT_EQ(row.size(), 8u + vb);
+      ASSERT_EQ(DecodeFixed64(row.data()), id);
+      all += row;
+    }
+  }
+  EXPECT_EQ(all.size(), 882000u);
+  EXPECT_EQ(crc32c::Value(all.data(), all.size()), 0x8615d3a6u);
+
+  workload::KvTable::RowTo(&row, 42, 24, 3);
+  EXPECT_EQ(row.substr(8), "hoqgphfocudsimboksezntdt");
+}
+
+TEST(KvRowImageTest, ReusedBufferShrinksAndGrows) {
+  std::string reused;
+  std::string fresh;
+  for (uint32_t vb : {400u, 3u, 0u, 401u, 16u}) {
+    workload::KvTable::RowTo(&reused, 7, vb, 2);
+    fresh.clear();
+    workload::KvTable::RowTo(&fresh, 7, vb, 2);
+    EXPECT_EQ(reused, fresh) << "value_bytes " << vb;
+  }
+}
+
+TEST(KvRowImageTest, Letters8MapsEveryByteValue) {
+  // Every byte value in every one of the eight positions, next to 0xff
+  // neighbours (the largest lane products), against 'a' + b % 26 per byte.
+  for (uint64_t b = 0; b < 256; ++b) {
+    for (int k = 0; k < 8; ++k) {
+      const uint64_t draw = ~(0xffull << (8 * k)) | (b << (8 * k));
+      uint64_t want = 0;
+      for (int j = 0; j < 8; ++j) {
+        want |= ('a' + ((draw >> (8 * j)) & 0xff) % 26) << (8 * j);
+      }
+      EXPECT_EQ(workload::KvTable::Letters8(draw), want)
+          << "byte " << b << " at position " << k;
+    }
+  }
 }
 
 // --- distribution shape ------------------------------------------------------
