@@ -7,6 +7,7 @@
 #include <benchmark/benchmark.h>
 
 #include "buffer/buffer_pool.h"
+#include "common/crc32c.h"
 #include "common/random.h"
 #include "core/face_cache.h"
 #include "engine/btree.h"
@@ -177,6 +178,47 @@ void BM_KvRowImage(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_KvRowImage);
+
+/// Eight 400-byte row images per iteration through RowsTo.
+void BM_KvRowImage8(benchmark::State& state) {
+  std::string rows(8 * 408, '\0');
+  uint64_t ids[8];
+  uint64_t versions[8];
+  uint64_t id = 0;
+  for (auto _ : state) {
+    for (uint32_t j = 0; j < 8; ++j) {
+      ids[j] = id + j;
+      versions[j] = (id + j) & 7;
+    }
+    workload::KvTable::RowsTo(rows.data(), ids, versions, 8, 400);
+    benchmark::DoNotOptimize(rows.data());
+    benchmark::ClobberMemory();
+    id += 8;
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 8);
+}
+BENCHMARK(BM_KvRowImage8);
+
+/// One 4 KB page checksum per iteration through kernel `state.range(0)`
+/// (0 fold, 1 crc32q, 2 table); skipped where the CPU lacks it.
+void BM_Crc32cPage(benchmark::State& state) {
+  const auto kernel = static_cast<crc32c::Kernel>(state.range(0));
+  if (!crc32c::Supported(kernel)) {
+    state.SkipWithError("CPU lacks this kernel");
+    return;
+  }
+  std::string page(kPageSize, '\0');
+  Random rnd(5);
+  for (char& c : page) c = static_cast<char>(rnd.Next());
+  uint32_t crc = 0;
+  for (auto _ : state) {
+    crc = crc32c::ExtendWith(kernel, crc, page.data(), page.size());
+    benchmark::DoNotOptimize(crc);
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          kPageSize);
+}
+BENCHMARK(BM_Crc32cPage)->Arg(0)->Arg(1)->Arg(2);
 
 }  // namespace
 }  // namespace face

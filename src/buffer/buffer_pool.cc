@@ -192,22 +192,10 @@ StatusOr<PageHandle> BufferPool::FetchPage(PageId page_id) {
 StatusOr<PageHandle> BufferPool::NewPage() {
   FACE_ASSIGN_OR_RETURN(PageId page_id, storage_->AllocatePage());
   FACE_ASSIGN_OR_RETURN(uint32_t frame, GetFreeFrame());
-  Frame& f = frames_[frame];
-  PageView(f.data.get()).Format(page_id);
-  f.page_id = page_id;
-  f.pins = 1;
-  f.in_use = true;
+  ++stats_.new_pages;
   // Clean until the caller logs the formatting: if evicted before any
   // logged write, the zero page is simply dropped and redo recreates it.
-  f.dirty = false;
-  f.fdirty = false;
-  f.rec_lsn = kInvalidLsn;
-  f.flash_version = kNoFlashVersion;
-  f.tracker.Reset();
-  table_.TryEmplace(page_id, frame);
-  lru_.PushFront(FrameLinks(), frame);
-  ++stats_.new_pages;
-  return PageHandle(this, frame, page_id);
+  return PinFormatted(frame, page_id);
 }
 
 StatusOr<PageHandle> BufferPool::FetchPageForRedo(PageId page_id) {
@@ -216,13 +204,16 @@ StatusOr<PageHandle> BufferPool::FetchPageForRedo(PageId page_id) {
   // Virgin page: materialize a formatted zero page for redo to fill.
   storage_->ObservePage(page_id);
   FACE_ASSIGN_OR_RETURN(uint32_t frame, GetFreeFrame());
+  return PinFormatted(frame, page_id);
+}
+
+PageHandle BufferPool::PinFormatted(uint32_t frame, PageId page_id) {
   Frame& f = frames_[frame];
   PageView(f.data.get()).Format(page_id);
   f.page_id = page_id;
   f.pins = 1;
   f.in_use = true;
-  f.dirty = false;
-  f.fdirty = false;
+  f.dirty = f.fdirty = false;
   f.rec_lsn = kInvalidLsn;
   f.flash_version = kNoFlashVersion;
   f.tracker.Reset();
@@ -238,15 +229,27 @@ StatusOr<uint32_t> BufferPool::GetFreeFrame() {
     return frame;
   }
   // Evict from the LRU tail, skipping pinned frames.
-  for (int32_t i = lru_.tail(); i >= 0; i = frames_[i].lru.prev) {
-    if (frames_[i].pins == 0) {
-      const uint32_t frame = static_cast<uint32_t>(i);
-      lru_.Remove(FrameLinks(), frame);
-      FACE_RETURN_IF_ERROR(EvictFrame(frame));
-      return frame;
-    }
-  }
-  return Status::Busy("all buffer frames pinned");
+  const int32_t i = UnpinnedTail();
+  if (i < 0) return Status::Busy("all buffer frames pinned");
+  const uint32_t frame = static_cast<uint32_t>(i);
+  lru_.Remove(FrameLinks(), frame);
+  FACE_RETURN_IF_ERROR(EvictFrame(frame));
+  return frame;
+}
+
+int32_t BufferPool::UnpinnedTail() const {
+  int32_t i = lru_.tail();
+  while (i >= 0 && frames_[i].pins != 0) i = frames_[i].lru.prev;
+  return i;
+}
+
+void BufferPool::ClearFrame(Frame* f) {
+  f->in_use = false;
+  f->page_id = kInvalidPageId;
+  f->dirty = f->fdirty = false;
+  f->rec_lsn = kInvalidLsn;
+  f->flash_version = kNoFlashVersion;
+  f->tracker.Reset();
 }
 
 Status BufferPool::EvictFrame(uint32_t frame) {
@@ -273,85 +276,63 @@ Status BufferPool::EvictFrame(uint32_t frame) {
     // recycled; the original error still surfaces for supervision.
     (void)storage_->WritePage(f.page_id, f.data.get());
   }
-  f.in_use = false;
-  f.page_id = kInvalidPageId;
-  f.dirty = f.fdirty = false;
-  f.rec_lsn = kInvalidLsn;
-  f.flash_version = kNoFlashVersion;
-  f.tracker.Reset();
+  ClearFrame(&f);
   return s;
 }
 
 PageId BufferPool::PullVictim(char* page, bool* dirty, bool* fdirty,
                               Lsn* rec_lsn) {
-  for (int32_t i = lru_.tail(); i >= 0; i = frames_[i].lru.prev) {
-    if (frames_[i].pins != 0) continue;
-    const uint32_t frame = static_cast<uint32_t>(i);
-    Frame& f = frames_[frame];
-    if (f.dirty || f.fdirty) {
-      if (!log_->FlushTo(PageView(f.data.get()).lsn()).ok()) return kInvalidPageId;
-    }
-    const PageId page_id = f.page_id;
-    memcpy(page, f.data.get(), kPageSize);
-    *dirty = f.dirty;
-    *fdirty = f.fdirty;
-    if (rec_lsn != nullptr) *rec_lsn = f.rec_lsn;
-    lru_.Remove(FrameLinks(), frame);
-    table_.Erase(page_id);
-    f.in_use = false;
-    f.page_id = kInvalidPageId;
-    f.dirty = f.fdirty = false;
-    f.rec_lsn = kInvalidLsn;
-    f.flash_version = kNoFlashVersion;
-    f.tracker.Reset();
-    free_list_.push_back(frame);
-    ++stats_.evictions;
-    ++stats_.pulls;
-    if (obs::Enabled()) {
-      PoolObs& o = GetPoolObs();
-      o.evictions->Increment();
-      o.pulls->Increment();
-    }
-    return page_id;
+  const int32_t i = UnpinnedTail();
+  if (i < 0) return kInvalidPageId;
+  const uint32_t frame = static_cast<uint32_t>(i);
+  Frame& f = frames_[frame];
+  if ((f.dirty || f.fdirty) &&
+      !log_->FlushTo(PageView(f.data.get()).lsn()).ok()) {
+    return kInvalidPageId;
   }
-  return kInvalidPageId;
+  const PageId page_id = f.page_id;
+  memcpy(page, f.data.get(), kPageSize);
+  *dirty = f.dirty;
+  *fdirty = f.fdirty;
+  if (rec_lsn != nullptr) *rec_lsn = f.rec_lsn;
+  lru_.Remove(FrameLinks(), frame);
+  table_.Erase(page_id);
+  ClearFrame(&f);
+  free_list_.push_back(frame);
+  ++stats_.evictions;
+  ++stats_.pulls;
+  if (obs::Enabled()) {
+    PoolObs& o = GetPoolObs();
+    o.evictions->Increment();
+    o.pulls->Increment();
+  }
+  return page_id;
 }
 
 Status BufferPool::FlushAllToDisk() {
-  FACE_RETURN_IF_ERROR(log_->FlushAll());
   // Ascending-page order (see SnapshotResidentPages): shutdown writes are
   // deterministic and adjacent dirty pages coalesce into sequential I/O.
-  for (PageId page_id : SnapshotResidentPages()) {
-    const uint32_t* slot = table_.Find(page_id);
-    if (slot == nullptr) continue;  // a cache callback may mutate the table
-    Frame& f = frames_[*slot];
-    if (!f.dirty) continue;
-    FACE_RETURN_IF_ERROR(storage_->WritePage(page_id, f.data.get()));
-    cache_->OnPageWrittenToDisk(page_id);
-    f.dirty = false;
-    f.fdirty = false;
-    f.rec_lsn = kInvalidLsn;
-    f.flash_version = kNoFlashVersion;  // the cache may have dropped its copy
-    f.tracker.Reset();
-  }
-  return Status::OK();
+  return FlushPagesToDisk(SnapshotResidentPages());
 }
 
 Status BufferPool::FlushPagesToDisk(const std::vector<PageId>& pages) {
   FACE_RETURN_IF_ERROR(log_->FlushAll());
   for (PageId page_id : pages) {
     const uint32_t* slot = table_.Find(page_id);
-    if (slot == nullptr) continue;
+    if (slot == nullptr) continue;  // a cache callback may mutate the table
     Frame& f = frames_[*slot];
-    if (!f.dirty) continue;
-    FACE_RETURN_IF_ERROR(storage_->WritePage(page_id, f.data.get()));
-    cache_->OnPageWrittenToDisk(page_id);
-    f.dirty = false;
-    f.fdirty = false;
-    f.rec_lsn = kInvalidLsn;
-    f.flash_version = kNoFlashVersion;
-    f.tracker.Reset();
+    if (f.dirty) FACE_RETURN_IF_ERROR(WriteToDisk(page_id, &f));
   }
+  return Status::OK();
+}
+
+Status BufferPool::WriteToDisk(PageId page_id, Frame* f) {
+  FACE_RETURN_IF_ERROR(storage_->WritePage(page_id, f->data.get()));
+  cache_->OnPageWrittenToDisk(page_id);
+  f->dirty = f->fdirty = false;
+  f->rec_lsn = kInvalidLsn;
+  f->flash_version = kNoFlashVersion;  // the cache may have dropped its copy
+  f->tracker.Reset();
   return Status::OK();
 }
 
@@ -387,19 +368,12 @@ std::vector<PageId> BufferPool::SnapshotResidentPages() const {
 }
 
 Status BufferPool::EvictAll() {
-  while (lru_.tail() >= 0) {
-    bool evicted = false;
-    for (int32_t i = lru_.tail(); i >= 0; i = frames_[i].lru.prev) {
-      if (frames_[i].pins == 0) {
-        const uint32_t frame = static_cast<uint32_t>(i);
-        lru_.Remove(FrameLinks(), frame);
-        FACE_RETURN_IF_ERROR(EvictFrame(frame));
-        free_list_.push_back(frame);
-        evicted = true;
-        break;
-      }
-    }
-    if (!evicted) break;  // everything left is pinned
+  // Until everything left is pinned.
+  for (int32_t i = UnpinnedTail(); i >= 0; i = UnpinnedTail()) {
+    const uint32_t frame = static_cast<uint32_t>(i);
+    lru_.Remove(FrameLinks(), frame);
+    FACE_RETURN_IF_ERROR(EvictFrame(frame));
+    free_list_.push_back(frame);
   }
   return Status::OK();
 }
@@ -442,13 +416,7 @@ Status BufferPool::SyncDirtyPagesForCheckpoint() {
       f.rec_lsn = kInvalidLsn;
       f.tracker.Reset();
     } else {
-      FACE_RETURN_IF_ERROR(storage_->WritePage(page_id, f.data.get()));
-      cache_->OnPageWrittenToDisk(page_id);
-      f.dirty = false;
-      f.fdirty = false;
-      f.rec_lsn = kInvalidLsn;
-      f.flash_version = kNoFlashVersion;
-      f.tracker.Reset();
+      FACE_RETURN_IF_ERROR(WriteToDisk(page_id, &f));
     }
   }
   if (obs::Enabled()) GetPoolObs().ckpt_sync_pages->Add(synced);

@@ -217,8 +217,17 @@ class BufferPool final : public DramPullSource {
 
   /// Free a frame for reuse, evicting the LRU-tail victim if needed.
   StatusOr<uint32_t> GetFreeFrame();
+  /// The LRU-most unpinned frame, or -1 if every resident frame is pinned.
+  int32_t UnpinnedTail() const;
   /// Evict `frame` through the cache pipeline (caller removed it from LRU).
   Status EvictFrame(uint32_t frame);
+  /// Reset a frame leaving the pool to the free state.
+  static void ClearFrame(Frame* f);
+  /// Pin free `frame` as `page_id`, freshly formatted and clean, at the
+  /// LRU head.
+  PageHandle PinFormatted(uint32_t frame, PageId page_id);
+  /// Write `f`, resident as `page_id`, to disk and mark it clean.
+  Status WriteToDisk(PageId page_id, Frame* f);
   /// True if the frame's persistent copy is stale (belongs in the DPT).
   bool PersistentlyDirty(const Frame& f) const {
     return f.dirty && f.rec_lsn != kInvalidLsn;

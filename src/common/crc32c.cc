@@ -1,7 +1,16 @@
+// CRC32-C. Extend runs the fastest of three kernels the CPU supports,
+// chosen once at startup with __builtin_cpu_supports (there is no flag):
+// VPCLMULQDQ folding (ExtendFold), three interleaved SSE4.2 crc32q chains
+// (ExtendHw), or slicing-by-8 tables (ExtendTable). All return the same
+// CRC; every constant and table is computed at startup from the polynomial.
 #include "common/crc32c.h"
 
 #include <array>
 #include <cstring>
+
+#if defined(__x86_64__) && defined(__GNUC__)
+#include <immintrin.h>
+#endif
 
 namespace face {
 namespace crc32c {
@@ -129,7 +138,6 @@ __attribute__((target("sse4.2"))) uint32_t ExtendHw(uint32_t init_crc,
       n -= 3 * kLaneBytes;
     } while (n >= 3 * kLaneBytes);
   }
-
   while (n >= 8) {
     uint64_t v;
     memcpy(&v, p, 8);
@@ -145,15 +153,89 @@ __attribute__((target("sse4.2"))) uint32_t ExtendHw(uint32_t init_crc,
   return crc32 ^ 0xffffffffu;
 }
 
+// Folding: four 512-bit accumulators fold 256 B a step, merge through
+// 512- and 128-bit folds, and two crc32q from 0 reduce the last 16 bytes;
+// a tail under 256 B takes ExtendHw. A 16-byte chunk (bit t = coefficient
+// of x^(127-t)) moved D bits on is, mod P, a * x^(D+63) * x + b * x^(D-1)
+// * x for its low and high qwords a, b; a carry-less product of reflected
+// qwords supplies the x when a constant holds x^d at bit 63-d.
+/// x^n mod P with the coefficient of x^d at bit 63-d.
+uint64_t XnModP(uint32_t n) {
+  uint32_t r = 0x80000000u;  // x^0 in the reflected 32-bit register
+  for (uint32_t i = 0; i < n; ++i) r = (r >> 1) ^ ((r & 1) ? kPoly : 0);
+  return static_cast<uint64_t>(r) << 32;
+}
+
+/// {x^(D+63), x^(D-1)} mod P in the low and high qword.
+__m128i FoldKeys(uint32_t d) {
+  return _mm_set_epi64x(static_cast<long long>(XnModP(d - 1)),
+                        static_cast<long long>(XnModP(d + 63)));
+}
+
+#define FACE_FOLD_TARGET \
+  __attribute__((target("avx512f,vpclmulqdq,pclmul,sse4.2")))
+
+/// Fold each 128-bit lane of `acc` by the distance `keys` encode and add
+/// `next`.
+FACE_FOLD_TARGET __m512i Fold(__m512i acc, __m512i keys, __m512i next) {
+  return _mm512_ternarylogic_epi64(_mm512_clmulepi64_epi128(acc, keys, 0x00),
+                                   _mm512_clmulepi64_epi128(acc, keys, 0x11),
+                                   next, 0x96);  // a ^ b ^ c
+}
+
+FACE_FOLD_TARGET __m128i Fold(__m128i acc, __m128i keys, __m128i next) {
+  return _mm_xor_si128(_mm_xor_si128(_mm_clmulepi64_si128(acc, keys, 0x00),
+                                     _mm_clmulepi64_si128(acc, keys, 0x11)),
+                       next);
+}
+
+FACE_FOLD_TARGET uint32_t ExtendFold(uint32_t init_crc, const char* data,
+                                     size_t n) {
+  if (n < 256) return ExtendHw(init_crc, data, n);
+  // Distances: one 256-byte step, then the 512- and 128-bit merges.
+  static const __m128i k2048 = FoldKeys(2048);
+  static const __m128i k512 = FoldKeys(512);
+  static const __m128i k128 = FoldKeys(128);
+  const __m512i step = _mm512_maskz_broadcast_i32x4(0xffff, k2048);
+  // The running register joins the message as an XOR into its first
+  // four bytes.
+  __m512i a0 = _mm512_xor_si512(
+      _mm512_loadu_si512(data),
+      _mm512_zextsi128_si512(_mm_cvtsi32_si128(
+          static_cast<int>(init_crc ^ 0xffffffffu))));
+  __m512i a1 = _mm512_loadu_si512(data + 64);
+  __m512i a2 = _mm512_loadu_si512(data + 128);
+  __m512i a3 = _mm512_loadu_si512(data + 192);
+  const char* p = data + 256;
+  n -= 256;
+  for (; n >= 256; p += 256, n -= 256) {
+    a0 = Fold(a0, step, _mm512_loadu_si512(p));
+    a1 = Fold(a1, step, _mm512_loadu_si512(p + 64));
+    a2 = Fold(a2, step, _mm512_loadu_si512(p + 128));
+    a3 = Fold(a3, step, _mm512_loadu_si512(p + 192));
+  }
+  const __m512i merge = _mm512_maskz_broadcast_i32x4(0xffff, k512);
+  a3 = Fold(Fold(Fold(a0, merge, a1), merge, a2), merge, a3);
+  // Through memory: GCC 12's lane-extract intrinsics warn spuriously.
+  __m128i lanes[4];
+  _mm512_storeu_si512(lanes, a3);
+  const __m128i c =
+      Fold(Fold(Fold(lanes[0], k128, lanes[1]), k128, lanes[2]), k128,
+           lanes[3]);
+  uint64_t crc = _mm_crc32_u64(0, static_cast<uint64_t>(_mm_cvtsi128_si64(c)));
+  crc = _mm_crc32_u64(crc, static_cast<uint64_t>(_mm_extract_epi64(c, 1)));
+  return ExtendHw(static_cast<uint32_t>(crc) ^ 0xffffffffu, p, n);
+}
+
+#undef FACE_FOLD_TARGET
+
 const bool kHaveHwCrc = __builtin_cpu_supports("sse4.2");
+const bool kHaveFold = kHaveHwCrc && __builtin_cpu_supports("pclmul") &&
+                       __builtin_cpu_supports("avx512f") &&
+                       __builtin_cpu_supports("vpclmulqdq");
 #endif
 
-}  // namespace
-
-uint32_t Extend(uint32_t init_crc, const char* data, size_t n) {
-#if defined(__x86_64__) && defined(__GNUC__)
-  if (kHaveHwCrc) return ExtendHw(init_crc, data, n);
-#endif
+uint32_t ExtendTable(uint32_t init_crc, const char* data, size_t n) {
   const auto& t = GetTables().t;
   uint32_t crc = init_crc ^ 0xffffffffu;
   const auto* p = reinterpret_cast<const unsigned char*>(data);
@@ -174,6 +256,33 @@ uint32_t Extend(uint32_t init_crc, const char* data, size_t n) {
     crc = t[0][(crc ^ p[i]) & 0xff] ^ (crc >> 8);
   }
   return crc ^ 0xffffffffu;
+}
+
+}  // namespace
+
+bool Supported(Kernel kernel) {
+#if defined(__x86_64__) && defined(__GNUC__)
+  if (kernel == Kernel::kFold) return kHaveFold;
+  if (kernel == Kernel::kCrc32q) return kHaveHwCrc;
+#endif
+  return kernel == Kernel::kTable;
+}
+
+uint32_t ExtendWith(Kernel kernel, uint32_t init_crc, const char* data,
+                    size_t n) {
+#if defined(__x86_64__) && defined(__GNUC__)
+  if (kernel == Kernel::kFold) return ExtendFold(init_crc, data, n);
+  if (kernel == Kernel::kCrc32q) return ExtendHw(init_crc, data, n);
+#endif
+  return ExtendTable(init_crc, data, n);
+}
+
+uint32_t Extend(uint32_t init_crc, const char* data, size_t n) {
+#if defined(__x86_64__) && defined(__GNUC__)
+  if (kHaveFold) return ExtendFold(init_crc, data, n);
+  if (kHaveHwCrc) return ExtendHw(init_crc, data, n);
+#endif
+  return ExtendTable(init_crc, data, n);
 }
 
 }  // namespace crc32c

@@ -11,6 +11,21 @@ namespace crc32c {
 /// fresh checksum; pass a previous result to extend it over more bytes).
 uint32_t Extend(uint32_t init_crc, const char* data, size_t n);
 
+/// Extend's kernels, fastest first; it runs the first the CPU supports.
+/// Tests and micro-benchmarks call each through ExtendWith.
+enum class Kernel {
+  kFold,    ///< carry-less-multiply folding, 256 B a step (VPCLMULQDQ)
+  kCrc32q,  ///< three interleaved SSE4.2 crc32q chains
+  kTable,   ///< slicing-by-8 tables (any CPU)
+};
+
+/// True if this CPU can run `kernel`.
+bool Supported(Kernel kernel);
+
+/// Extend through `kernel`, which must be Supported.
+uint32_t ExtendWith(Kernel kernel, uint32_t init_crc, const char* data,
+                    size_t n);
+
 /// CRC32-C of data[0, n).
 inline uint32_t Value(const char* data, size_t n) { return Extend(0, data, n); }
 

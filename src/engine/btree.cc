@@ -22,6 +22,27 @@ constexpr uint32_t kNodeHeaderSize = 24;
 constexpr uint32_t kPayload = kPagePayloadSize;
 constexpr uint32_t kSlotSize = 2;
 
+/// std::string_view's order (bytes unsigned, then length), eight bytes a
+/// step as big-endian words: no memcmp call per probe of a node search.
+int Compare(std::string_view a, std::string_view b) {
+  const size_t n = std::min(a.size(), b.size());
+  size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    uint64_t x, y;
+    memcpy(&x, a.data() + i, 8);
+    memcpy(&y, b.data() + i, 8);
+    if (x != y) {
+      return __builtin_bswap64(x) < __builtin_bswap64(y) ? -1 : 1;
+    }
+  }
+  for (; i < n; ++i) {
+    const auto x = static_cast<unsigned char>(a[i]);
+    const auto y = static_cast<unsigned char>(b[i]);
+    if (x != y) return x < y ? -1 : 1;
+  }
+  return a.size() < b.size() ? -1 : (a.size() > b.size() ? 1 : 0);
+}
+
 /// Read-only accessors over one node's payload.
 class NodeView {
  public:
@@ -78,13 +99,13 @@ class NodeView {
     uint16_t lo = 0, hi = nkeys();
     while (lo < hi) {
       const uint16_t mid = static_cast<uint16_t>((lo + hi) / 2);
-      if (Key(mid) < key) {
+      if (Compare(Key(mid), key) < 0) {
         lo = static_cast<uint16_t>(mid + 1);
       } else {
         hi = mid;
       }
     }
-    *exact = lo < nkeys() && Key(lo) == key;
+    *exact = lo < nkeys() && Compare(Key(lo), key) == 0;
     return lo;
   }
 
@@ -189,6 +210,44 @@ std::vector<OwnedCell> CopyCells(const NodeView& v) {
 uint32_t CellBytes(bool leaf, const OwnedCell& c) {
   return leaf ? 4u + static_cast<uint32_t>(c.key.size() + c.value.size())
               : 10u + static_cast<uint32_t>(c.key.size());
+}
+
+/// `key`'s value in `leaf`, viewed in place.
+Status FindInLeaf(const PageHandle& leaf, std::string_view key,
+                  std::string_view* value) {
+  NodeView v(leaf.data());
+  bool exact = false;
+  const uint16_t pos = v.LowerBound(key, &exact);
+  if (!exact) return Status::NotFound("btree key absent");
+  *value = v.LeafValue(pos);
+  return Status::OK();
+}
+
+/// Insert fast path for a node with contiguous room: write `cell` at the
+/// free end, splice its slot in at `pos`, patch the header, all logged.
+Status PlaceCell(PageWriter* writer, PageHandle* page, uint16_t pos,
+                 const std::string& cell) {
+  const NodeView v(page->data());
+  const uint16_t n = v.nkeys();
+  const auto cell_off = static_cast<uint16_t>(v.free_end() - cell.size());
+  FACE_RETURN_IF_ERROR(
+      writer->Apply(page, static_cast<uint16_t>(kPageHeaderSize + cell_off),
+                    cell.data(), static_cast<uint32_t>(cell.size())));
+  std::string slots((n - pos + 1) * kSlotSize, '\0');
+  EncodeFixed16(slots.data(), cell_off);
+  const uint32_t slot_off = kPageHeaderSize + kNodeHeaderSize + pos * kSlotSize;
+  memcpy(slots.data() + kSlotSize, page->data() + slot_off,
+         (n - pos) * static_cast<size_t>(kSlotSize));
+  FACE_RETURN_IF_ERROR(writer->Apply(page, static_cast<uint16_t>(slot_off),
+                                     slots.data(),
+                                     static_cast<uint32_t>(slots.size())));
+  char hdr[6];
+  EncodeFixed16(hdr, static_cast<uint16_t>(n + 1));
+  EncodeFixed16(hdr + 2,
+                static_cast<uint16_t>(kNodeHeaderSize + (n + 1) * kSlotSize));
+  EncodeFixed16(hdr + 4, cell_off);
+  return writer->Apply(page, static_cast<uint16_t>(kPageHeaderSize + kNKeysOff),
+                       hdr, 6);
 }
 
 Status WriteWholeNode(PageWriter* writer, PageHandle* page,
@@ -350,37 +409,11 @@ Status BPlusTree::InsertRec(PageWriter* writer, PageId page_id,
         10 + static_cast<uint32_t>(child_split_key.size());
 
     if (iv.ContiguousFree() >= cell_size + kSlotSize) {
-      // Fast path: place the cell, splice the slot array, patch the header.
-      const uint16_t cell_off =
-          static_cast<uint16_t>(iv.free_end() - cell_size);
       std::string cell(cell_size, '\0');
       EncodeFixed16(cell.data(), static_cast<uint16_t>(child_split_key.size()));
       EncodeFixed64(cell.data() + 2, child_split_page);
       memcpy(cell.data() + 10, child_split_key.data(), child_split_key.size());
-      FACE_RETURN_IF_ERROR(writer->Apply(
-          &page, static_cast<uint16_t>(kPageHeaderSize + cell_off),
-          cell.data(), cell_size));
-
-      const uint16_t n = iv.nkeys();
-      std::string slots((n - pos + 1) * kSlotSize, '\0');
-      EncodeFixed16(slots.data(), cell_off);
-      memcpy(slots.data() + kSlotSize,
-             page.data() + kPageHeaderSize + kNodeHeaderSize + pos * kSlotSize,
-             (n - pos) * static_cast<size_t>(kSlotSize));
-      FACE_RETURN_IF_ERROR(writer->Apply(
-          &page,
-          static_cast<uint16_t>(kPageHeaderSize + kNodeHeaderSize +
-                                pos * kSlotSize),
-          slots.data(), static_cast<uint32_t>(slots.size())));
-
-      char hdr[6];
-      EncodeFixed16(hdr, static_cast<uint16_t>(n + 1));
-      EncodeFixed16(hdr + 2, static_cast<uint16_t>(kNodeHeaderSize +
-                                                   (n + 1) * kSlotSize));
-      EncodeFixed16(hdr + 4, cell_off);
-      return writer->Apply(&page,
-                           static_cast<uint16_t>(kPageHeaderSize + kNKeysOff),
-                           hdr, 6);
+      return PlaceCell(writer, &page, pos, cell);
     }
 
     // Slow path: rebuild (compaction), possibly splitting this node too.
@@ -403,36 +436,12 @@ Status BPlusTree::InsertRec(PageWriter* writer, PageId page_id,
                                                        value.size());
 
   if (v.ContiguousFree() >= cell_size + kSlotSize) {
-    const uint16_t cell_off = static_cast<uint16_t>(v.free_end() - cell_size);
     std::string cell(cell_size, '\0');
     EncodeFixed16(cell.data(), static_cast<uint16_t>(key.size()));
     EncodeFixed16(cell.data() + 2, static_cast<uint16_t>(value.size()));
     memcpy(cell.data() + 4, key.data(), key.size());
     memcpy(cell.data() + 4 + key.size(), value.data(), value.size());
-    FACE_RETURN_IF_ERROR(
-        writer->Apply(&page, static_cast<uint16_t>(kPageHeaderSize + cell_off),
-                      cell.data(), cell_size));
-
-    const uint16_t n = v.nkeys();
-    std::string slots((n - pos + 1) * kSlotSize, '\0');
-    EncodeFixed16(slots.data(), cell_off);
-    memcpy(slots.data() + kSlotSize,
-           page.data() + kPageHeaderSize + kNodeHeaderSize + pos * kSlotSize,
-           (n - pos) * static_cast<size_t>(kSlotSize));
-    FACE_RETURN_IF_ERROR(writer->Apply(
-        &page,
-        static_cast<uint16_t>(kPageHeaderSize + kNodeHeaderSize +
-                              pos * kSlotSize),
-        slots.data(), static_cast<uint32_t>(slots.size())));
-
-    char hdr[6];
-    EncodeFixed16(hdr, static_cast<uint16_t>(n + 1));
-    EncodeFixed16(hdr + 2,
-                  static_cast<uint16_t>(kNodeHeaderSize + (n + 1) * kSlotSize));
-    EncodeFixed16(hdr + 4, cell_off);
-    return writer->Apply(&page,
-                         static_cast<uint16_t>(kPageHeaderSize + kNKeysOff),
-                         hdr, 6);
+    return PlaceCell(writer, &page, pos, cell);
   }
 
   std::vector<OwnedCell> cells = CopyCells(v);
@@ -555,31 +564,51 @@ Status BPlusTree::BulkLoad(PageWriter* writer, const EntrySource& source) {
   return catalog_->SetRootPage(writer, idx_, level.front().child);
 }
 
-StatusOr<PageId> BPlusTree::FindLeaf(std::string_view key) const {
+StatusOr<PageHandle> BPlusTree::FindLeaf(std::string_view key) const {
   PageId page_id = root_page();
   while (true) {
     FACE_ASSIGN_OR_RETURN(PageHandle page, pool_->FetchPage(page_id));
     NodeView v(page.data());
-    if (v.leaf()) return page_id;
+    if (v.leaf()) return page;
     page_id = v.Descend(key);
   }
 }
 
 Status BPlusTree::Get(std::string_view key, std::string* out) const {
-  FACE_ASSIGN_OR_RETURN(PageId leaf_id, FindLeaf(key));
-  FACE_ASSIGN_OR_RETURN(PageHandle page, pool_->FetchPage(leaf_id));
-  NodeView v(page.data());
-  bool exact = false;
-  const uint16_t pos = v.LowerBound(key, &exact);
-  if (!exact) return Status::NotFound("btree key absent");
-  const std::string_view value = v.LeafValue(pos);
+  FACE_ASSIGN_OR_RETURN(PageHandle leaf, FindLeaf(key));
+  std::string_view value;
+  FACE_RETURN_IF_ERROR(FindInLeaf(leaf, key, &value));
   out->assign(value.data(), value.size());
   return Status::OK();
 }
 
+Status BPlusTree::PinPath(std::string_view key, PinnedPath* path,
+                          std::string_view* value) const {
+  path->clear();
+  PageId page_id = root_page();
+  while (true) {
+    FACE_ASSIGN_OR_RETURN(PageHandle page, pool_->FetchPage(page_id));
+    path->push_back(std::move(page));
+    NodeView v(path->back().data());
+    if (v.leaf()) return FindInLeaf(path->back(), key, value);
+    page_id = v.Descend(key);
+  }
+}
+
+bool BPlusTree::LookupPinned(const PinnedPath& path, std::string_view key,
+                             std::string_view* value) const {
+  if (path.empty() || path.front().page_id() != root_page()) return false;
+  for (size_t i = 0; i + 1 < path.size(); ++i) {
+    if (path[i + 1].page_id() != NodeView(path[i].data()).Descend(key)) {
+      return false;
+    }
+  }
+  return NodeView(path.back().data()).leaf() &&
+         FindInLeaf(path.back(), key, value).ok();
+}
+
 Status BPlusTree::Delete(PageWriter* writer, std::string_view key) {
-  FACE_ASSIGN_OR_RETURN(PageId leaf_id, FindLeaf(key));
-  FACE_ASSIGN_OR_RETURN(PageHandle page, pool_->FetchPage(leaf_id));
+  FACE_ASSIGN_OR_RETURN(PageHandle page, FindLeaf(key));
   NodeView v(page.data());
   bool exact = false;
   const uint16_t pos = v.LowerBound(key, &exact);
@@ -638,9 +667,8 @@ Status BPlusTree::Iterator::SkipEmptyLeaves() {
 }
 
 StatusOr<BPlusTree::Iterator> BPlusTree::Seek(std::string_view key) const {
-  FACE_ASSIGN_OR_RETURN(PageId leaf_id, FindLeaf(key));
   Iterator it(pool_);
-  FACE_ASSIGN_OR_RETURN(it.page_, pool_->FetchPage(leaf_id));
+  FACE_ASSIGN_OR_RETURN(it.page_, FindLeaf(key));
   bool exact = false;
   it.slot_ = NodeView(it.page_.data()).LowerBound(key, &exact);
   FACE_RETURN_IF_ERROR(it.SkipEmptyLeaves());
@@ -648,15 +676,17 @@ StatusOr<BPlusTree::Iterator> BPlusTree::Seek(std::string_view key) const {
 }
 
 StatusOr<BPlusTree::Iterator> BPlusTree::SeekFirst() const {
+  Iterator it(pool_);
   PageId page_id = root_page();
   while (true) {
     FACE_ASSIGN_OR_RETURN(PageHandle page, pool_->FetchPage(page_id));
     NodeView v(page.data());
-    if (v.leaf()) break;
+    if (v.leaf()) {
+      it.page_ = std::move(page);
+      break;
+    }
     page_id = v.next_or_leftmost();
   }
-  Iterator it(pool_);
-  FACE_ASSIGN_OR_RETURN(it.page_, pool_->FetchPage(page_id));
   it.slot_ = 0;
   FACE_RETURN_IF_ERROR(it.SkipEmptyLeaves());
   return it;

@@ -25,6 +25,7 @@
 #include <functional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "buffer/buffer_pool.h"
 #include "common/status.h"
@@ -74,6 +75,17 @@ class BPlusTree {
 
   /// Point lookup: copy the value of `key` into `out`.
   Status Get(std::string_view key, std::string* out) const;
+
+  /// Root-to-leaf pins a sweep of point lookups holds between keys.
+  using PinnedPath = std::vector<PageHandle>;
+  /// Get's fetches, each node kept pinned in `path` (old pins released
+  /// first); `*value` views the pinned leaf.
+  Status PinPath(std::string_view key, PinnedPath* path,
+                 std::string_view* value) const;
+  /// Get over `path` alone, no fetch: true, `*value` viewing the leaf, if
+  /// `key`'s descent stays on `path` and the leaf holds `key`.
+  bool LookupPinned(const PinnedPath& path, std::string_view key,
+                    std::string_view* value) const;
 
   /// Forward scanner over leaf entries. Pins one leaf at a time; do not
   /// mutate the tree while an iterator is live.
@@ -126,8 +138,8 @@ class BPlusTree {
                    std::string_view value, std::string* split_key,
                    PageId* split_page);
 
-  /// Descend to the leaf that would hold `key`.
-  StatusOr<PageId> FindLeaf(std::string_view key) const;
+  /// Descend to the leaf that would hold `key` and return it pinned.
+  StatusOr<PageHandle> FindLeaf(std::string_view key) const;
 
   Status CheckNode(PageId page_id, std::string_view lo, std::string_view hi,
                    int expect_level, uint64_t* entries) const;

@@ -54,11 +54,25 @@ StatusOr<Rid> HeapFile::Insert(PageWriter* writer, std::string_view record) {
 }
 
 Status HeapFile::Read(Rid rid, std::string* out) const {
-  FACE_ASSIGN_OR_RETURN(PageHandle page, pool_->FetchPage(rid.page_id));
-  HeapPageView view(page.data());
-  if (!view.SlotLive(rid.slot)) return Status::NotFound("dead heap slot");
-  const std::string_view rec = view.Record(rid.slot);
+  PageHandle page;
+  std::string_view rec;
+  FACE_RETURN_IF_ERROR(ReadPinned(rid, &page, &rec));
   out->assign(rec.data(), rec.size());
+  return Status::OK();
+}
+
+Status HeapFile::ReadPinned(Rid rid, PageHandle* page,
+                            std::string_view* out) const {
+  page->Release();
+  FACE_ASSIGN_OR_RETURN(*page, pool_->FetchPage(rid.page_id));
+  return RecordAt(*page, rid.slot, out);
+}
+
+Status HeapFile::RecordAt(const PageHandle& page, uint16_t slot,
+                          std::string_view* out) {
+  HeapPageView view(page.data());
+  if (!view.SlotLive(slot)) return Status::NotFound("dead heap slot");
+  *out = view.Record(slot);
   return Status::OK();
 }
 

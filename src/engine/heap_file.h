@@ -43,6 +43,13 @@ class HeapFile {
 
   /// Copy the record at `rid` into `out`. NotFound for dead slots.
   Status Read(Rid rid, std::string* out) const;
+  /// Read without the copy: fetch rid's page into `*page` (its old pin
+  /// released first) and view the record there while the pin lasts.
+  Status ReadPinned(Rid rid, PageHandle* page, std::string_view* out) const;
+  /// The record at `slot` of the page `page` already pins, as Read finds
+  /// it, with no fetch. NotFound for dead slots.
+  static Status RecordAt(const PageHandle& page, uint16_t slot,
+                         std::string_view* out);
 
   /// Overwrite the record at `rid` with an equal-length image.
   Status Update(PageWriter* writer, Rid rid, std::string_view record);

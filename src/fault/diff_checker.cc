@@ -1,6 +1,8 @@
 #include "fault/diff_checker.h"
 
+#include <algorithm>
 #include <sstream>
+#include <string_view>
 
 #include "core/face_cache.h"
 #include "workload/kv_table.h"
@@ -106,23 +108,36 @@ StatusOr<DiffReport> RunDifferentialCheck(Database& db, ShadowState* shadow,
 
   // Row-for-row: every committed key must read back at exactly its shadow
   // version. A NotFound or Corruption here is a divergence to record, not
-  // an error to bail on; an IOError means the rig itself is broken. These
-  // pool fetches shape later simulated results: keep their order (README).
-  std::string row;
-  for (uint64_t key = 0; key < shadow->population(); ++key) {
-    ++report.rows_checked;
-    const Status s = table.Read(key, &row);
-    if (s.IsIOError()) return s;
-    if (!s.ok()) {
-      AddDivergence(&report, "key " + std::to_string(key) +
-                                 " unreadable: " + s.ToString());
-      continue;
-    }
-    if (!KvTable::IsRow(row, key, shadow->value_bytes, shadow->versions[key],
-                        &expected)) {
-      AddDivergence(&report, "key " + std::to_string(key) +
-                                 " diverges from committed version " +
-                                 std::to_string(shadow->versions[key]));
+  // an error to bail on; an IOError means the rig itself is broken. The
+  // pool traffic shapes later simulated results: ReadPinned skips only
+  // fetches that leave the LRU order as it is (README).
+  {
+    const uint32_t vb = shadow->value_bytes;
+    const size_t row_bytes = 8 + size_t{vb};
+    std::string images(8 * row_bytes, '\0');  // expected rows, 8 at a time
+    uint64_t ids[8];
+    KvTable::ReadPins pins;
+    for (uint64_t key = 0; key < shadow->population(); ++key) {
+      const uint64_t j = key % 8;
+      if (j == 0) {
+        const auto n = static_cast<uint32_t>(
+            std::min<uint64_t>(8, shadow->population() - key));
+        for (uint32_t k = 0; k < n; ++k) ids[k] = key + k;
+        KvTable::RowsTo(images.data(), ids, &shadow->versions[key], n, vb);
+      }
+      ++report.rows_checked;
+      std::string_view row;
+      const Status s = table.ReadPinned(key, &pins, &row);
+      if (s.IsIOError()) return s;
+      if (!s.ok()) {
+        AddDivergence(&report, "key " + std::to_string(key) +
+                                   " unreadable: " + s.ToString());
+      } else if (row != std::string_view(images.data() + j * row_bytes,
+                                         row_bytes)) {
+        AddDivergence(&report, "key " + std::to_string(key) +
+                                   " diverges from committed version " +
+                                   std::to_string(shadow->versions[key]));
+      }
     }
   }
 

@@ -281,6 +281,15 @@ Status RestartManager::Undo(RestartReport* report,
   std::map<TxnId, Lsn> chain_head = *losers;
   LogReader reader(log_->device());
 
+  // Close out a transaction with nothing (left) to undo.
+  const auto close_out = [&](std::map<TxnId, Lsn>::iterator loser) {
+    LogRecord abort;
+    abort.type = LogRecordType::kAbort;
+    abort.txn_id = loser->first;
+    abort.prev_lsn = chain_head[loser->first];
+    log_->Append(&abort);
+    losers->erase(loser);
+  };
   while (!losers->empty()) {
     // Undo strictly in reverse LSN order across all losers, like ARIES.
     auto max_it = losers->begin();
@@ -290,13 +299,7 @@ Status RestartManager::Undo(RestartReport* report,
     const TxnId txn_id = max_it->first;
     const Lsn lsn = max_it->second;
     if (lsn == kInvalidLsn) {
-      // Nothing (left) to undo; close out the transaction.
-      LogRecord abort;
-      abort.type = LogRecordType::kAbort;
-      abort.txn_id = txn_id;
-      abort.prev_lsn = chain_head[txn_id];
-      log_->Append(&abort);
-      losers->erase(max_it);
+      close_out(max_it);
       continue;
     }
 
@@ -334,15 +337,9 @@ Status RestartManager::Undo(RestartReport* report,
         // Already-compensated span: skip straight past it.
         max_it->second = rec.undo_next_lsn;
         break;
-      case LogRecordType::kBegin: {
-        LogRecord abort;
-        abort.type = LogRecordType::kAbort;
-        abort.txn_id = txn_id;
-        abort.prev_lsn = chain_head[txn_id];
-        log_->Append(&abort);
-        losers->erase(max_it);
+      case LogRecordType::kBegin:
+        close_out(max_it);
         break;
-      }
       case LogRecordType::kCommit:
       case LogRecordType::kAbort:
         return Status::Internal("loser chain reached a completion record");

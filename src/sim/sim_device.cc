@@ -66,8 +66,7 @@ uint64_t SimDevice::LocalOffset(uint64_t block) const {
 char* SimDevice::PagePtr(uint64_t block) {
   auto& chunk = chunks_[block / kChunkPages];
   if (chunk == nullptr) {
-    chunk = std::make_unique<char[]>(kChunkPages * kPageSize);
-    memset(chunk.get(), 0, kChunkPages * kPageSize);
+    chunk = std::make_unique<char[]>(kChunkPages * kPageSize);  // zeroed
   }
   return chunk.get() + (block % kChunkPages) * kPageSize;
 }

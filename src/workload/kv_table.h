@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "common/random.h"
 #include "common/status.h"
@@ -37,6 +38,11 @@ struct KvTable {
   /// equal-length in-place overwrites). `version` varies the payload.
   static void RowTo(std::string* out, uint64_t id, uint32_t value_bytes,
                     uint64_t version);
+  /// RowTo's images of rows (ids[j], versions[j]), j < n <= 8, back to
+  /// back at out[j * (8 + value_bytes)]: all at once where the CPU has
+  /// AVX-512, else one by one. Byte-for-byte RowTo's output.
+  static void RowsTo(char* out, const uint64_t* ids, const uint64_t* versions,
+                     uint32_t n, uint32_t value_bytes);
   /// True if `row` is exactly RowTo's image; it is built in `scratch`.
   static bool IsRow(const std::string& row, uint64_t id, uint32_t value_bytes,
                     uint64_t version, std::string* scratch);
@@ -59,6 +65,17 @@ struct KvTable {
                   bool bulk);
   /// Point-read `id` into `out`; NotFound if absent.
   Status Read(uint64_t id, std::string* out) const;
+  /// The pins ReadPinned holds between calls: an index path, a heap page.
+  struct ReadPins {
+    BPlusTree::PinnedPath path;
+    PageHandle heap;
+  };
+  /// Read for sweeps in key order, without the copy: `*row` views the
+  /// pinned heap page. Fetches nothing when `id`'s descent stays on the
+  /// pinned path to a row on the pinned heap page; else releases every pin
+  /// and runs Read's fetches, pinning them. Read's statuses, and Read's
+  /// LRU order (src/fault/README.md).
+  Status ReadPinned(uint64_t id, ReadPins* pins, std::string_view* row) const;
   /// Overwrite `id`'s row in place with a new version.
   Status Update(PageWriter* writer, uint64_t id, uint32_t value_bytes,
                 uint64_t version);

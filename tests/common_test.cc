@@ -1,6 +1,7 @@
 // Unit tests: Status/StatusOr, coding, CRC32-C, Slice, randoms, histogram.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <map>
 #include <set>
 #include <string>
@@ -135,6 +136,64 @@ TEST(Crc32cTest, LargeInputsMatchChunkedExtend) {
     EXPECT_EQ(crc, crc32c::Value(data.data(), 4096)) << "split=" << split;
   }
 }
+
+TEST(Crc32cTest, StandardCheckValue) {
+  const std::string check = "123456789";
+  EXPECT_EQ(crc32c::Value(check.data(), check.size()), 0xE3069283u);
+}
+
+// Every kernel against a bytewise reference built here from the polynomial:
+// all lengths 0-8192 at offsets 0-63 from three seed CRCs. The reference
+// extends one byte at a time, so each (offset, seed) costs one pass.
+class Crc32cKernelTest : public ::testing::TestWithParam<crc32c::Kernel> {};
+
+TEST_P(Crc32cKernelTest, MatchesBytewiseReference) {
+  const crc32c::Kernel kernel = GetParam();
+  if (!crc32c::Supported(kernel)) GTEST_SKIP() << "CPU lacks this kernel";
+  std::array<uint32_t, 256> table;
+  for (uint32_t i = 0; i < 256; ++i) {
+    uint32_t r = i;
+    for (int k = 0; k < 8; ++k) r = (r >> 1) ^ ((r & 1) ? 0x82f63b78u : 0);
+    table[i] = r;
+  }
+  constexpr size_t kMaxLen = 8192;
+  constexpr size_t kOffsets = 64;
+  std::string data(kMaxLen + kOffsets, '\0');
+  Random rnd(20);
+  for (char& c : data) c = static_cast<char>(rnd.Next());
+
+  for (uint32_t seed : {0u, 0xffffffffu, 0x12345678u}) {
+    for (size_t off = 0; off < kOffsets; ++off) {
+      const char* p = data.data() + off;
+      uint32_t reg = seed ^ 0xffffffffu;  // reference register
+      for (size_t len = 0;; ++len) {
+        const uint32_t want = reg ^ 0xffffffffu;
+        const uint32_t got = crc32c::ExtendWith(kernel, seed, p, len);
+        if (got != want) {
+          FAIL() << "seed=" << seed << " offset=" << off << " len=" << len
+                 << " got=" << got << " want=" << want;
+        }
+        if (len == kMaxLen) break;
+        reg = table[(reg ^ static_cast<uint8_t>(p[len])) & 0xff] ^ (reg >> 8);
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Kernels, Crc32cKernelTest,
+    ::testing::Values(crc32c::Kernel::kFold, crc32c::Kernel::kCrc32q,
+                      crc32c::Kernel::kTable),
+    [](const ::testing::TestParamInfo<crc32c::Kernel>& param) {
+      switch (param.param) {
+        case crc32c::Kernel::kFold:
+          return "Fold";
+        case crc32c::Kernel::kCrc32q:
+          return "Crc32q";
+        default:
+          return "Table";
+      }
+    });
 
 TEST(RandomTest, DeterministicAcrossInstances) {
   Random a(99), b(99);

@@ -20,9 +20,11 @@
 #include <iostream>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/coding.h"
+#include "core/face_cache.h"
 #include "core/flash_layout.h"
 #include "core/tac_cache.h"
 #include "testbed/crash_storm.h"
@@ -278,6 +280,64 @@ class DiffCheckerTest : public ::testing::Test {
     FACE_ASSERT_OK(db.Commit(txn));
   }
 
+  /// The divergence lines the per-row sweep writes for the current state:
+  /// one KvTable::Read per key, in key order, worded as the checker words
+  /// them.
+  std::vector<std::string> PerRowDetails() {
+    std::vector<std::string> lines;
+    StatusOr<workload::KvTable> table = workload::KvTable::Open(*tb_->db());
+    EXPECT_TRUE(table.ok()) << table.status().ToString();
+    if (!table.ok()) return lines;
+    std::string row;
+    for (uint64_t key = 0; key < shadow_->population(); ++key) {
+      const Status s = table->Read(key, &row);
+      if (!s.ok()) {
+        lines.push_back("key " + std::to_string(key) +
+                        " unreadable: " + s.ToString());
+      } else if (row != Expected(key)) {
+        lines.push_back("key " + std::to_string(key) +
+                        " diverges from committed version " +
+                        std::to_string(shadow_->versions[key]));
+      }
+    }
+    return lines;
+  }
+
+  /// Overwrite `bytes.size()` bytes of page `page_id` at `offset` in a
+  /// committed transaction (the WAL carries it like any engine write).
+  void PlantBytes(PageId page_id, uint16_t offset, const std::string& bytes) {
+    Database& db = *tb_->db();
+    const TxnId txn = db.Begin();
+    PageWriter w = db.Writer(txn);
+    FACE_ASSERT_OK_AND_ASSIGN(PageHandle page, db.pool()->FetchPage(page_id));
+    FACE_ASSERT_OK(w.Apply(&page, offset, bytes.data(),
+                           static_cast<uint32_t>(bytes.size())));
+    page.Release();
+    FACE_ASSERT_OK(db.Commit(txn));
+  }
+
+  /// The check must report exactly what the per-row sweep reports, one
+  /// line about `key`, and come out clean once `restore` has run.
+  template <typename Restore>
+  void ExpectReportedAsPerRow(uint64_t key, const std::string& prefix,
+                              const Restore& restore) {
+    const std::vector<std::string> per_row = PerRowDetails();
+    ASSERT_EQ(per_row.size(), 1u);
+    EXPECT_EQ(per_row[0].rfind("key " + std::to_string(key) + prefix, 0), 0u)
+        << per_row[0];
+    FACE_ASSERT_OK_AND_ASSIGN(
+        fault::DiffReport diff,
+        fault::RunDifferentialCheck(*tb_->db(), shadow_.get(), tb_->cache()));
+    EXPECT_EQ(diff.divergences, 1u) << diff.ToString();
+    EXPECT_EQ(diff.details, per_row) << diff.ToString();
+
+    restore();
+    FACE_ASSERT_OK_AND_ASSIGN(
+        diff,
+        fault::RunDifferentialCheck(*tb_->db(), shadow_.get(), tb_->cache()));
+    EXPECT_TRUE(diff.ok()) << "restored\n" << diff.ToString();
+  }
+
   /// The check must flag `key` alone; then the true image goes back and
   /// the check must come out clean again.
   void ExpectOnlyKeyDiverges(uint64_t key, const char* what) {
@@ -339,6 +399,166 @@ TEST_F(DiffCheckerTest, WrongVersionIsCaught) {
                            shadow_->versions[key] + 1);
   Plant(key, row);
   ExpectOnlyKeyDiverges(key, "row one version ahead");
+}
+
+TEST_F(DiffCheckerTest, MidPageRowServedWithoutAFetchIsChecked) {
+  // A key whose row, and its neighbours' rows, share one heap page and
+  // one leaf: after its predecessor, ReadPinned serves it and its
+  // successor without a single pool fetch.
+  FACE_ASSERT_OK_AND_ASSIGN(workload::KvTable table,
+                            workload::KvTable::Open(*tb_->db()));
+  const BufferPool& pool = *tb_->db()->pool();
+  uint64_t key = 0;
+  {
+    workload::KvTable::ReadPins pins;
+    std::string_view row;
+    for (uint64_t k = kRecords / 2; k + 1 < kRecords && key == 0; ++k) {
+      FACE_ASSERT_OK(table.ReadPinned(k - 1, &pins, &row));
+      const uint64_t fetches = pool.stats().fetches;
+      FACE_ASSERT_OK(table.ReadPinned(k, &pins, &row));
+      FACE_ASSERT_OK(table.ReadPinned(k + 1, &pins, &row));
+      if (pool.stats().fetches == fetches) key = k;
+    }
+  }
+  ASSERT_NE(key, 0u) << "no mid-page row found";
+
+  std::string row = Expected(key);
+  row[8 + kValueBytes / 2] ^= 0x01;
+  Plant(key, row);
+  ExpectReportedAsPerRow(key, " diverges", [&] { Plant(key, Expected(key)); });
+}
+
+TEST_F(DiffCheckerTest, CorruptSeparatorLeavesThePinnedPath) {
+  // Lower the root's first separator S by one: key S-1 now descends into
+  // S's subtree, off the path its predecessor pinned, and is not there.
+  FACE_ASSERT_OK_AND_ASSIGN(workload::KvTable table,
+                            workload::KvTable::Open(*tb_->db()));
+  FACE_ASSERT_OK_AND_ASSIGN(uint32_t height, table.pk.Height());
+  ASSERT_GE(height, 2u) << "the index needs an internal root";
+  const PageId root = table.pk.root_page();
+  // Internal cell layout (btree.h): [u16 klen][u64 child][key], located
+  // by slot 0 after the 24-byte node header.
+  uint16_t key_offset = 0;
+  std::string separator;
+  {
+    FACE_ASSERT_OK_AND_ASSIGN(PageHandle page,
+                              tb_->db()->pool()->FetchPage(root));
+    const char* node = page.data() + kPageHeaderSize;
+    const uint16_t cell = DecodeFixed16(node + 24);
+    ASSERT_EQ(DecodeFixed16(node + cell), 8u);
+    key_offset = static_cast<uint16_t>(kPageHeaderSize + cell + 10);
+    separator.assign(page.data() + key_offset, 8);
+  }
+  uint64_t sep_id = 0;
+  for (char c : separator) sep_id = (sep_id << 8) | static_cast<uint8_t>(c);
+  ASSERT_GE(sep_id, 2u);
+  ASSERT_EQ(workload::KvTable::Key(sep_id), separator);
+
+  PlantBytes(root, key_offset, workload::KvTable::Key(sep_id - 1));
+  ExpectReportedAsPerRow(sep_id - 1, " unreadable: NotFound", [&] {
+    PlantBytes(root, key_offset, separator);
+  });
+}
+
+// The sweep skips fetches, never their effect on the pool. Two clones of
+// one post-restart state: one swept by the per-row Read loop, the other
+// by RunDifferentialCheck. EvictAll then spills each pool, LRU tail
+// first, into FaCE's FIFO queue (one frame written per admission), so
+// equal queues and equal miss and eviction counts mean equal LRU order.
+TEST(DiffCheckerEquivalenceTest, PinnedSweepLeavesThePoolAsThePerRowSweep) {
+  fault::ShadowKvOptions wo;
+  // ~150 pages of heap and index against 64 DRAM frames and 96 flash
+  // frames: the sweeps miss to both flash and disk and evict throughout.
+  wo.records = 3000;
+  wo.value_bytes = 160;
+  GoldenImage golden;
+  {
+    auto shadow = std::make_shared<fault::ShadowState>();
+    shadow->Reset(wo.records, wo.value_bytes);
+    FACE_ASSERT_OK_AND_ASSIGN(
+        golden, GoldenImage::BuildFor(
+                    std::make_shared<fault::ShadowKvFactory>(wo, shadow)));
+  }
+  struct Clone {
+    std::shared_ptr<fault::ShadowState> shadow;
+    std::unique_ptr<Testbed> tb;
+  };
+  const auto make_clone = [&](Clone* c) {
+    c->shadow = std::make_shared<fault::ShadowState>();
+    c->shadow->Reset(wo.records, wo.value_bytes);
+    TestbedOptions to;
+    to.clients = 8;
+    to.seed = 21;
+    to.workload = std::make_shared<fault::ShadowKvFactory>(wo, c->shadow);
+    to.buffer_frames = 64;
+    to.flash_pages = 96;
+    to.policy = CachePolicy::kFace;
+    c->tb = std::make_unique<Testbed>(to, &golden);
+    FACE_ASSERT_OK(c->tb->Start());
+    RunOptions run;
+    run.txns = 600;
+    FACE_ASSERT_OK(c->tb->Run(run).status());
+    FACE_ASSERT_OK(c->tb->Crash());
+    FACE_ASSERT_OK(c->tb->Recover().status());
+    ASSERT_EQ(c->shadow->pending.kind, fault::PendingOp::Kind::kNone);
+  };
+  // FaCE's queue front to rear, as the page ids stamped in its frames.
+  const auto face_queue = [](Testbed& tb) {
+    auto* fc = dynamic_cast<FaceCache*>(tb.cache());
+    std::vector<PageId> ids;
+    if (fc == nullptr) return ids;
+    std::string frame(kPageSize, '\0');
+    tb.flash_dev()->set_timing_enabled(false);
+    for (uint64_t seq = fc->front_seq(); seq < fc->rear_seq(); ++seq) {
+      const uint64_t block = fc->layout().FrameBlock(seq);
+      EXPECT_TRUE(tb.flash_dev()->Read(block, frame.data()).ok());
+      ids.push_back(PageView(frame.data()).page_id());
+    }
+    tb.flash_dev()->set_timing_enabled(true);
+    return ids;
+  };
+  const auto expect_same_pool = [&](Testbed& a, Testbed& b, const char* when) {
+    const BufferPool::Stats& sa = a.db()->pool()->stats();
+    const BufferPool::Stats& sb = b.db()->pool()->stats();
+    EXPECT_EQ(sa.misses, sb.misses) << when;
+    EXPECT_EQ(sa.disk_fetches, sb.disk_fetches) << when;
+    EXPECT_EQ(sa.flash_fetches, sb.flash_fetches) << when;
+    EXPECT_EQ(sa.evictions, sb.evictions) << when;
+    EXPECT_EQ(sa.dirty_evictions, sb.dirty_evictions) << when;
+    EXPECT_EQ(a.cache()->stats().enqueues, b.cache()->stats().enqueues)
+        << when;
+    EXPECT_EQ(face_queue(a), face_queue(b)) << when;
+  };
+
+  Clone per_row;
+  Clone pinned;
+  make_clone(&per_row);
+  if (HasFatalFailure()) return;
+  make_clone(&pinned);
+  if (HasFatalFailure()) return;
+  expect_same_pool(*per_row.tb, *pinned.tb, "after restart");
+
+  {
+    FACE_ASSERT_OK_AND_ASSIGN(workload::KvTable table,
+                              workload::KvTable::Open(*per_row.tb->db()));
+    std::string row;
+    for (uint64_t key = 0; key < per_row.shadow->population(); ++key) {
+      FACE_ASSERT_OK(table.Read(key, &row));
+    }
+    FACE_ASSERT_OK(table.CountFrom(0).status());
+  }
+  FACE_ASSERT_OK_AND_ASSIGN(
+      fault::DiffReport diff,
+      fault::RunDifferentialCheck(*pinned.tb->db(), pinned.shadow.get(),
+                                  nullptr));
+  EXPECT_TRUE(diff.ok()) << diff.ToString();
+  const uint64_t misses_before = pinned.tb->db()->pool()->stats().misses;
+  expect_same_pool(*per_row.tb, *pinned.tb, "after the sweeps");
+
+  FACE_ASSERT_OK(per_row.tb->db()->pool()->EvictAll());
+  FACE_ASSERT_OK(pinned.tb->db()->pool()->EvictAll());
+  expect_same_pool(*per_row.tb, *pinned.tb, "after EvictAll");
+  EXPECT_GT(misses_before, 0u);
 }
 
 // --- degraded-mode storms ---------------------------------------------------

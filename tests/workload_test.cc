@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <string>
+#include <vector>
 
 #include "common/coding.h"
 #include "common/crc32c.h"
@@ -83,6 +86,69 @@ TEST(KvRowImageTest, MatchesGoldenBytes) {
 
   workload::KvTable::RowTo(&row, 42, 24, 3);
   EXPECT_EQ(row.substr(8), "hoqgphfocudsimboksezntdt");
+}
+
+TEST(KvRowImageTest, RowsToRebuildsTheGoldenBytesInEveryBatchSize) {
+  constexpr uint64_t kIds = 1000;
+  const uint32_t kValueBytes[] = {0, 1, 7, 8, 9, 400, 401};
+  for (uint32_t batch = 1; batch <= 8; ++batch) {
+    // Rows of ids 0..999 per value size, built `batch` at a time over a
+    // buffer that starts dirty, then interleaved in the golden order.
+    std::vector<std::string> by_size;
+    for (uint32_t vb : kValueBytes) {
+      std::string rows(kIds * (8 + vb), '\x5a');
+      for (uint64_t id = 0; id < kIds; id += batch) {
+        const auto n =
+            static_cast<uint32_t>(std::min<uint64_t>(batch, kIds - id));
+        uint64_t ids[8];
+        uint64_t versions[8];
+        for (uint32_t j = 0; j < n; ++j) {
+          ids[j] = id + j;
+          versions[j] = (id + j) % 5;
+        }
+        workload::KvTable::RowsTo(rows.data() + id * (8 + vb), ids, versions,
+                                  n, vb);
+      }
+      by_size.push_back(std::move(rows));
+    }
+    std::string all;
+    for (uint64_t id = 0; id < kIds; ++id) {
+      for (size_t k = 0; k < by_size.size(); ++k) {
+        const size_t row_bytes = 8 + kValueBytes[k];
+        all.append(by_size[k], id * row_bytes, row_bytes);
+      }
+    }
+    ASSERT_EQ(all.size(), 882000u);
+    EXPECT_EQ(crc32c::Value(all.data(), all.size()), 0x8615d3a6u)
+        << "batch " << batch;
+  }
+}
+
+TEST(KvRowImageTest, RowsToMatchesRowToForRandomIdsAndVersions) {
+  Random rnd(11);
+  std::string row;
+  for (int round = 0; round < 400; ++round) {
+    const auto n = static_cast<uint32_t>(1 + rnd.Uniform(8));
+    const auto vb = static_cast<uint32_t>(rnd.Uniform(600));
+    const size_t row_bytes = 8 + vb;
+    uint64_t ids[8];
+    uint64_t versions[8];
+    for (uint32_t j = 0; j < n; ++j) {
+      ids[j] = rnd.Next() >> rnd.Uniform(64);  // small ids too
+      versions[j] = rnd.Uniform(4) == 0 ? 0 : rnd.Next();
+    }
+    // One row past the batch must stay untouched.
+    std::string rows((n + 1) * row_bytes, '\x5a');
+    workload::KvTable::RowsTo(rows.data(), ids, versions, n, vb);
+    for (uint32_t j = 0; j < n; ++j) {
+      workload::KvTable::RowTo(&row, ids[j], vb, versions[j]);
+      ASSERT_EQ(rows.substr(j * row_bytes, row_bytes), row)
+          << "round " << round << " row " << j << " of " << n << ", vb "
+          << vb;
+    }
+    EXPECT_EQ(rows.substr(n * row_bytes), std::string(row_bytes, '\x5a'))
+        << "round " << round;
+  }
 }
 
 TEST(KvRowImageTest, ReusedBufferShrinksAndGrows) {
